@@ -27,12 +27,6 @@ type config = {
   tsb_enabled : bool; (* maintain the TSB index on time splits *)
   group_commit_window : int;
       (* commits sharing one log sync; <= 1 syncs at every commit *)
-  scan_parallelism : int;
-      (* domains serving AS OF scans and history walks; 1 = the serial
-         path, bit-for-bit identical to pre-parallel behavior *)
-  histcache_capacity : int;
-      (* pages in the immutable-history cache (only used when
-         scan_parallelism > 1) *)
   history_compression : bool;
       (* delta-compress historical pages at time splits; false = the
          plain P_history format, bit-for-bit identical to pre-compression
@@ -81,8 +75,6 @@ let default_config =
     auto_checkpoint_every = 0;
     tsb_enabled = true;
     group_commit_window = 1;
-    scan_parallelism = 1;
-    histcache_capacity = 1024;
     history_compression = true;
     trace_sampling = 0;
     slow_op_threshold_us = 10_000;
@@ -171,17 +163,10 @@ type t = {
   mutable cur_txn : txn option; (* logging context for undoable ops *)
   mutable commits_since_checkpoint : int;
   mutable in_recovery : bool;
-  histcache : Imdb_histcache.Histcache.t option;
-      (* Some iff scan_parallelism > 1: the read-only page cache worker
-         domains are allowed to touch *)
-  mutable scan_pool : Imdb_parallel.Pool.t option;
-      (* worker domains, spawned lazily by the first parallel scan *)
   hist_decoded : (int, bytes) Hashtbl.t;
       (* memoized decoded images of compressed history pages, for the
-         serial read path (coordinator domain only — workers decode at
-         histcache admission instead).  Entries never go stale: a
-         compressed page is immutable from the moment its time split
-         writes it. *)
+         read path.  Entries never go stale: a compressed page is
+         immutable from the moment its time split writes it. *)
   hist_decoded_order : int Queue.t; (* FIFO bound for [hist_decoded] *)
   ingest_bufs : (int, Ingest.buf) Hashtbl.t;
       (* table id -> volatile mirror of the table's message-buffer page;
@@ -369,12 +354,8 @@ let alloc_page t ~ptype ~level ~table_id =
   pid
 
 let free_page t pid =
-  (* the freed id may be reused for a mutable page: make sure no stale
-     immutable image can be served (belt and braces — only btree pages
-     are ever freed, and those are never admitted) *)
-  (match t.histcache with
-  | Some hc -> Imdb_histcache.Histcache.remove hc pid
-  | None -> ());
+  (* the freed id may be reused for a mutable page: drop any memoized
+     decoded image (belt and braces — only btree pages are ever freed) *)
   Hashtbl.remove t.hist_decoded pid;
   BP.with_page t.pool pid (fun fr ->
       exec_op t fr ~undoable:false
@@ -652,21 +633,14 @@ let lock_record t txn ~table_id ~key mode =
 (* Compressed-history decoding                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Expand a compressed history image, timing the decode. *)
-let decode_with ?(tracer = Imdb_obs.Tracer.null) metrics b =
-  Imdb_obs.Tracer.with_span tracer "compress.decode" (fun sp ->
-      let t0 = Unix.gettimeofday () in
-      let img = Imdb_storage.Vcompress.decode b in
-      Imdb_obs.Metrics.observe metrics Imdb_obs.Metrics.h_compress_decode_ns
-        (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
-      Imdb_obs.Tracer.add_attr sp "page" (string_of_int (P.page_id b));
-      img)
+(* Entries retained by the [decoded_history] memo (FIFO). *)
+let hist_decoded_capacity = 1024
 
-(* Decoded view of a history page image for the serial read path: plain
-   pages pass through untouched; [P_history_compressed] images expand to
-   the equivalent [P_history] image.  Memoized — compressed pages are
+(* Decoded view of a history page image for the read path: plain pages
+   pass through untouched; [P_history_compressed] images expand to the
+   equivalent [P_history] image.  Memoized — compressed pages are
    immutable, so entries never go stale; the FIFO bound keeps memory in
-   check.  Coordinator domain only. *)
+   check. *)
 let decoded_history t page =
   if not (Imdb_storage.Vcompress.is_compressed page) then page
   else begin
@@ -674,9 +648,16 @@ let decoded_history t page =
     match Hashtbl.find_opt t.hist_decoded pid with
     | Some img -> img
     | None ->
-        let img = decode_with ~tracer:t.tracer t.metrics page in
-        if Queue.length t.hist_decoded_order >= max 64 t.config.histcache_capacity
-        then begin
+        let img =
+          Imdb_obs.Tracer.with_span t.tracer "compress.decode" (fun sp ->
+              let t0 = Unix.gettimeofday () in
+              let img = Imdb_storage.Vcompress.decode page in
+              Imdb_obs.Metrics.observe t.metrics Imdb_obs.Metrics.h_compress_decode_ns
+                (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
+              Imdb_obs.Tracer.add_attr sp "page" (string_of_int pid);
+              img)
+        in
+        if Queue.length t.hist_decoded_order >= hist_decoded_capacity then begin
           let victim = Queue.pop t.hist_decoded_order in
           Hashtbl.remove t.hist_decoded victim
         end;
@@ -720,9 +701,6 @@ let stamp_record t fr ~key =
 (* Checkpointing and PTT garbage collection                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The span closes on exception too ([Tracer.with_span] wraps the body
-   in [Fun.protect]) — the old ad-hoc [Metrics.trace Span_begin/Span_end]
-   pair leaked its begin if anything between the two raised. *)
 let checkpoint t =
   let module M = Imdb_obs.Metrics in
   Imdb_obs.Tracer.with_span t.tracer "checkpoint" @@ fun sp ->
@@ -815,10 +793,6 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
   Mx.ensure_counter metrics Mx.buf_clock_sweeps;
   Mx.ensure_counter metrics Mx.keydir_hits;
   Mx.ensure_counter metrics Mx.keydir_misses;
-  Mx.ensure_counter metrics Mx.histcache_hits;
-  Mx.ensure_counter metrics Mx.histcache_misses;
-  Mx.ensure_counter metrics Mx.histcache_evictions;
-  Mx.ensure_counter metrics Mx.scan_parallel_fallbacks;
   Mx.ensure_counter metrics Mx.hist_bytes_written;
   Mx.ensure_counter metrics Mx.compress_pages;
   Mx.ensure_counter metrics Mx.compress_fallbacks;
@@ -845,7 +819,6 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
   Mx.set_gauge metrics Mx.recovery_redo_lsn 0;
   Mx.ensure_histogram metrics Mx.h_lock_wait_us;
   Mx.ensure_histogram metrics Mx.h_group_commit_batch;
-  Mx.ensure_histogram metrics Mx.h_scan_fanout;
   Mx.ensure_histogram metrics Mx.h_compress_decode_ns;
   Mx.ensure_histogram metrics Mx.h_ptt_gc_batch;
   Mx.ensure_histogram metrics Mx.h_ingest_flush_run;
@@ -856,13 +829,6 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
     else
       Imdb_obs.Tracer.create ~sampling:config.trace_sampling
         ~slow_threshold_us:config.slow_op_threshold_us ~metrics ()
-  in
-  (* Parallel scans share the device between the coordinator (via the
-     buffer pool) and worker-domain cache misses: serialize it.  At the
-     default scan_parallelism = 1 the device is untouched, so the serial
-     path stays bit-for-bit identical. *)
-  let disk =
-    if config.scan_parallelism > 1 then Imdb_storage.Disk.serialized disk else disk
   in
   Imdb_storage.Disk.set_metrics disk metrics;
   let wal = Imdb_wal.Wal.open_device ~metrics log_device in
@@ -875,16 +841,6 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
       Imdb_wal.Wal.flushed_lsn wal);
   Imdb_tstamp.Lazy_stamper.set_force_log stamper (fun () ->
       Imdb_wal.Wal.flush wal);
-  let histcache =
-    if config.scan_parallelism > 1 then
-      Some
-        (Imdb_histcache.Histcache.create ~tracer
-           ~capacity:config.histcache_capacity
-           ~load:(fun pid -> disk.Imdb_storage.Disk.read_page pid)
-           ~decode:(fun b -> decode_with ~tracer metrics b)
-           ())
-    else None
-  in
   let t =
     {
       disk;
@@ -913,8 +869,6 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
       cur_txn = None;
       commits_since_checkpoint = 0;
       in_recovery = false;
-      histcache;
-      scan_pool = None;
       hist_decoded = Hashtbl.create 64;
       hist_decoded_order = Queue.create ();
       ingest_bufs = Hashtbl.create 8;
@@ -1003,20 +957,6 @@ let attach_system t =
       end)
     (list_tables t)
 
-(* The worker-domain pool, spawned on first use so engines that never run
-   a parallel scan never pay for domains.  [None] when scan_parallelism
-   <= 1: callers take the serial path. *)
-let scan_pool t =
-  match t.scan_pool with
-  | Some p -> Some p
-  | None ->
-      if t.config.scan_parallelism > 1 then begin
-        let p = Imdb_parallel.Pool.create ~workers:(t.config.scan_parallelism - 1) in
-        t.scan_pool <- Some p;
-        Some p
-      end
-      else None
-
 let close t =
   (* join the sampler thread first: the domain must stay joinable, and a
      sample racing device close would read a half-torn-down engine *)
@@ -1024,11 +964,6 @@ let close t =
   (* a clean-shutdown checkpoint: the next open recovers from (nearly)
      the end of the log *)
   (if t.ptt <> None then try ignore (checkpoint t) with _ -> ());
-  (match t.scan_pool with
-  | Some p ->
-      Imdb_parallel.Pool.shutdown p;
-      t.scan_pool <- None
-  | None -> ());
   BP.flush_all t.pool;
   Imdb_wal.Wal.close t.wal;
   t.disk.Imdb_storage.Disk.sync ();

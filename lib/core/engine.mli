@@ -20,17 +20,6 @@ type config = {
           every commit.  A window [> 1] defers the commit acknowledgment
           ([tx_durable]) until the shared sync — a crash before it rolls
           the unacknowledged transactions back. *)
-  scan_parallelism : int;
-      (** domains serving AS OF scans and history walks.  [1] (the
-          default) is the serial path, bit-for-bit identical to the
-          pre-parallel engine; [> 1] fans historical page work out to
-          [scan_parallelism - 1] worker domains plus the coordinator,
-          serving immutable pages from the histcache.  Results are
-          identical at any setting — only the work distribution (and the
-          wall clock) changes. *)
-  histcache_capacity : int;
-      (** pages held by the immutable-history cache (used only when
-          [scan_parallelism > 1]) *)
   history_compression : bool;
       (** delta-compress historical pages at time splits ({!Imdb_storage.Vcompress});
           readers decompress lazily and results are identical either way.
@@ -157,14 +146,9 @@ type t = {
   mutable cur_txn : txn option;  (** logging context for undoable ops *)
   mutable commits_since_checkpoint : int;
   mutable in_recovery : bool;
-  histcache : Imdb_histcache.Histcache.t option;
-      (** [Some] iff [config.scan_parallelism > 1]: the only page store
-          worker domains may read *)
-  mutable scan_pool : Imdb_parallel.Pool.t option;
-      (** worker domains, spawned lazily by the first parallel scan *)
   hist_decoded : (int, bytes) Hashtbl.t;
-      (** memoized decoded images of compressed history pages (serial
-          path, coordinator domain only; immutable so never stale) *)
+      (** memoized decoded images of compressed history pages
+          (immutable, so never stale) *)
   hist_decoded_order : int Queue.t;  (** FIFO bound for [hist_decoded] *)
   ingest_bufs : (int, Ingest.buf) Hashtbl.t;
       (** table id -> volatile mirror of its message-buffer page *)
@@ -284,8 +268,7 @@ val lock_record : t -> txn -> table_id:int -> key:string -> Imdb_lock.Lock_manag
 val decoded_history : t -> bytes -> bytes
 (** Decoded view of a history page image: plain pages pass through;
     [P_history_compressed] images expand (memoized) to the equivalent
-    [P_history] image.  Never mutate the result.  Coordinator domain
-    only. *)
+    [P_history] image.  Never mutate the result. *)
 
 (** {1 Stamping triggers} *)
 
@@ -331,10 +314,6 @@ val bootstrap : t -> unit
 
 val attach_system : t -> unit
 (** Attach catalog/PTT from recovered metadata and load the table cache. *)
-
-val scan_pool : t -> Imdb_parallel.Pool.t option
-(** The worker-domain pool when [scan_parallelism > 1] (spawning it on
-    first call), [None] on serial engines. *)
 
 val close : t -> unit
 (** Stops the monitor sampler thread, checkpoints, flushes and closes

@@ -946,14 +946,13 @@ let scan_current eng ?(lo = "") ?hi txn ti f =
                 (V.current_slots page)))
         (clipped_ranges eng ti ~lo ?hi ())
 
-(* One router range of the serial temporal scan: the visible (key,
+(* One router range of a temporal scan: the visible (key,
    payload) pairs of window [low, high) at time [t], sorted.  Optionally
    overlaid with [own]'s uncommitted writes (snapshot-isolation scans must
    see the transaction's own changes).  The page covering [t] is the
    current page itself when t >= its split time, otherwise the chain/TSB
-   target.  Also the coordinator's fallback for ranges the parallel path
-   cannot serve from stable storage. *)
-let scan_range_serial eng ?own ti ~t (low, high, pid) =
+   target. *)
+let scan_range eng ?own ti ~t (low, high, pid) =
   let pending = ref [] in
   let f key payload = pending := (key, payload) :: !pending in
   (* own uncommitted state of a key: present/absent/not-written-by-us *)
@@ -1010,183 +1009,15 @@ let scan_range_serial eng ?own ti ~t (low, high, pid) =
         | None -> ());
   List.sort compare !pending
 
-let scan_versioned_at_serial eng ?own ?lo ?hi ti ~t emit =
+(* Core of temporal scans: each clipped router range in order, each
+   range's rows sorted. *)
+let scan_versioned_at eng ?own ?lo ?hi ti ~t emit =
   Imdb_obs.Tracer.with_span eng.E.tracer "scan.asof"
-    ~attrs:[ ("table", ti.Catalog.ti_name); ("parallel", "false") ]
+    ~attrs:[ ("table", ti.Catalog.ti_name) ]
   @@ fun _ ->
   List.iter
-    (fun range ->
-      List.iter (fun (k, p) -> emit k p) (scan_range_serial eng ?own ti ~t range))
+    (fun range -> List.iter (fun (k, p) -> emit k p) (scan_range eng ?own ti ~t range))
     (clipped_ranges eng ti ?lo ?hi ())
-
-(* --- the parallel AS OF read path ------------------------------------------
-
-   When [scan_parallelism > 1] and no own-write overlay is needed, the
-   historical part of a temporal scan fans out across worker domains.
-   The invariant that makes this safe: a historical page is immutable
-   from the moment its time split commits — every version it holds was
-   stamped before [Vpage.time_split] classified it, inserts only ever
-   route to current pages, stamping no-ops on fully stamped pages, and
-   history pages are never freed.  Workers therefore read history
-   straight from stable storage through the histcache and never touch
-   the buffer pool or the stamping machinery.  Any page that is not yet
-   servable that way (still dirty-only in the pool, or failing the
-   admission check) sends its whole range back to the coordinating
-   domain, where [scan_range_serial] — and thus [stamp_record] /
-   [stamp_page] — remains legal. *)
-
-(* What the coordinator decided for one clipped range. *)
-type range_plan =
-  | Plan_rows of (string * string) list  (* served from the current page *)
-  | Plan_page of int  (* scan exactly this historical page (TSB target) *)
-  | Plan_walk of int  (* walk the history chain from this page id *)
-
-(* Pure image scan: the visible versions of every in-window key of one
-   page at [t].  Runs on worker domains — the metrics registry is
-   domain-safe, the page image is immutable. *)
-let scan_page_image_at eng ~low ~high ~t page =
-  let out = ref [] in
-  List.iter
-    (fun key ->
-      if in_range key ~low ~high then begin
-        Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_versions;
-        match V.find_stamped_as_of page ~key ~asof:t with
-        | Some slot when R.in_page_flags page slot land R.f_delete_stub = 0 ->
-            out := (key, payload_of page slot key) :: !out
-        | Some _ | None -> ()
-      end)
-    (V.keys page);
-  List.sort compare !out
-
-(* Worker-side body: serve one range's historical work from the
-   histcache.  [None] = some needed page is not servable from stable
-   storage; the coordinator falls back to the serial body. *)
-let run_range_task eng hc ti ~t ~low ~high plan =
-  let table_id = ti.Catalog.ti_id in
-  match plan with
-  | Plan_rows rows -> Some rows
-  | Plan_page hpid -> (
-      match Imdb_histcache.Histcache.get hc ~table_id hpid with
-      | Some page -> Some (scan_page_image_at eng ~low ~high ~t page)
-      | None -> None)
-  | Plan_walk start ->
-      let rec walk pid =
-        if pid = P.no_page then Some []
-        else
-          match Imdb_histcache.Histcache.get hc ~table_id pid with
-          | None -> None
-          | Some page ->
-              Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_pages;
-              if Ts.compare t (P.split_time page) >= 0 then
-                Some (scan_page_image_at eng ~low ~high ~t page)
-              else walk (P.history_pointer page)
-      in
-      walk start
-
-(* Fold the histcache's atomic counters into the engine registry.  Only
-   the coordinator publishes (engine operations are serial), so the
-   deltas are race-free and the exposed counters deterministic. *)
-let publish_histcache_delta eng ~before hc =
-  let module M = Imdb_obs.Metrics in
-  let module HC = Imdb_histcache.Histcache in
-  let a = HC.stats hc in
-  M.incr ~by:(a.HC.hits - before.HC.hits) eng.E.metrics M.histcache_hits;
-  M.incr ~by:(a.HC.misses - before.HC.misses) eng.E.metrics M.histcache_misses;
-  M.incr ~by:(a.HC.evictions - before.HC.evictions) eng.E.metrics M.histcache_evictions
-
-let scan_versioned_at_parallel eng pool hc ?lo ?hi ti ~t emit =
-  let module M = Imdb_obs.Metrics in
-  (* The coordinator span is threaded into the worker closures as the
-     explicit parent: workers run on other domains, where the implicit
-     (stack-based) parent would be wrong. *)
-  Imdb_obs.Tracer.with_span eng.E.tracer "scan.asof"
-    ~attrs:[ ("table", ti.Catalog.ti_name); ("parallel", "true") ]
-  @@ fun coord ->
-  let s0 = Imdb_histcache.Histcache.stats hc in
-  (* Phase 1 (coordinator): pin each range's current page — stamping is
-     legal here — and either scan it in place (t falls in its time range)
-     or plan the historical work. *)
-  let plans =
-    List.map
-      (fun (low, high, pid) ->
-        BP.with_page eng.E.pool pid (fun fr ->
-            let page = BP.bytes fr in
-            E.stamp_page eng fr;
-            M.incr eng.E.metrics M.asof_pages;
-            let plan =
-              if Ts.compare t (P.split_time page) >= 0 then
-                Plan_rows (scan_page_image_at eng ~low ~high ~t page)
-              else
-                match tsb eng ti with
-                | Some index -> (
-                    match Imdb_tsb.Tsb.find index ~key:low ~ts:t with
-                    | Some hpid ->
-                        M.incr eng.E.metrics M.asof_pages;
-                        Plan_page hpid
-                    | None -> Plan_rows [])
-                | None -> Plan_walk (P.history_pointer page)
-            in
-            (low, high, pid, plan)))
-      (clipped_ranges eng ti ?lo ?hi ())
-  in
-  let tasks = Array.of_list plans in
-  let fanout =
-    Array.fold_left
-      (fun acc (_, _, _, plan) ->
-        match plan with Plan_rows _ -> acc | Plan_page _ | Plan_walk _ -> acc + 1)
-      0 tasks
-  in
-  M.observe eng.E.metrics M.h_scan_fanout fanout;
-  Imdb_obs.Tracer.add_attr coord "ranges" (string_of_int (Array.length tasks));
-  Imdb_obs.Tracer.add_attr coord "fanout" (string_of_int fanout);
-  (* Phase 2: fan the ranges out across the worker domains (the
-     coordinator participates in the drain). *)
-  let results =
-    Imdb_parallel.Pool.run pool
-      (fun i ->
-        let low, high, _, plan = tasks.(i) in
-        Imdb_obs.Tracer.with_span eng.E.tracer ~parent:coord "scan.range"
-          ~attrs:[ ("range", string_of_int i) ]
-        @@ fun _ -> run_range_task eng hc ti ~t ~low ~high plan)
-      (Array.length tasks)
-  in
-  (* Phase 3 (coordinator): ranges the workers could not serve fall back
-     to the serial body. *)
-  let rows =
-    Array.mapi
-      (fun i res ->
-        match res with
-        | Some rows -> rows
-        | None ->
-            M.incr eng.E.metrics M.scan_parallel_fallbacks;
-            let low, high, pid, _ = tasks.(i) in
-            scan_range_serial eng ti ~t (low, high, pid))
-      results
-  in
-  publish_histcache_delta eng ~before:s0 hc;
-  (* Ranges are emitted in router order, each sorted: the output is
-     identical to the serial path's. *)
-  Array.iter (fun rs -> List.iter (fun (k, p) -> emit k p) rs) rows
-
-(* Core of temporal scans: dispatch to the parallel path when it is both
-   enabled and applicable (no own-write overlay: AS OF scans), otherwise
-   run serially.  [scan_parallelism = 1] never constructs the parallel
-   machinery at all. *)
-let scan_versioned_at eng ?own ?lo ?hi ti ~t emit =
-  let parallel_ctx =
-    match own with
-    | Some _ -> None
-    | None -> (
-        match eng.E.histcache with
-        | None -> None
-        | Some hc -> (
-            match E.scan_pool eng with
-            | Some pool -> Some (pool, hc)
-            | None -> None))
-  in
-  match parallel_ctx with
-  | Some (pool, hc) -> scan_versioned_at_parallel eng pool hc ?lo ?hi ti ~t emit
-  | None -> scan_versioned_at_serial eng ?own ?lo ?hi ti ~t emit
 
 (* AS OF scan at time [t] (the paper's Section 5.2 experiment),
    optionally bounded to a key window — the access path of the paper's
@@ -1213,9 +1044,13 @@ let scan eng ?lo ?hi txn ti f =
 
 (* Time travel: the full version history of [key], newest first, as
    (timestamp, payload option) — None marks a deletion. *)
-let history_serial eng ti ~key =
+let history eng txn ti ~key =
+  E.check_running txn;
+  if ti.Catalog.ti_mode <> Catalog.Immortal then
+    raise (Not_versioned (ti.Catalog.ti_name ^ ": history needs an IMMORTAL table"));
+  flush_ingest eng ti;
   Imdb_obs.Tracer.with_span eng.E.tracer "history.walk"
-    ~attrs:[ ("table", ti.Catalog.ti_name); ("parallel", "false") ]
+    ~attrs:[ ("table", ti.Catalog.ti_name) ]
   @@ fun _ ->
   let pid = locate_page eng ti ~key in
   let seen = Hashtbl.create 16 in
@@ -1245,105 +1080,6 @@ let history_serial eng ti ~key =
   let rec walk pid' = if pid' <> P.no_page then walk (collect_page pid') in
   walk pid;
   List.sort (fun (a, _) (b, _) -> Ts.compare b a) !out
-
-(* Pure image read for the parallel history walk: [key]'s committed
-   versions in one page, (start ts, payload option), None = delete stub.
-   Uncommitted versions (still carrying a TID) are not part of history. *)
-let versions_of_key_image page ~key =
-  List.filter_map
-    (fun slot ->
-      match R.in_page_timestamp page slot with
-      | Some ts ->
-          let v =
-            if R.in_page_flags page slot land R.f_delete_stub <> 0 then None
-            else Some (payload_of page slot key)
-          in
-          Some (ts, v)
-      | None -> None)
-    (V.all_versions_of page ~key)
-
-(* Parallel history: the coordinator reads the (mutable) current page
-   under the buffer pool and collects the chain as immutable images from
-   the histcache; version extraction from those images fans out.  A chain
-   page the histcache cannot serve is read — and stamped — inline by the
-   coordinator, counted as a fallback. *)
-let history_parallel eng pool hc ti ~key =
-  let module M = Imdb_obs.Metrics in
-  let module HC = Imdb_histcache.Histcache in
-  Imdb_obs.Tracer.with_span eng.E.tracer "history.walk"
-    ~attrs:[ ("table", ti.Catalog.ti_name); ("parallel", "true") ]
-  @@ fun coord ->
-  let table_id = ti.Catalog.ti_id in
-  let s0 = HC.stats hc in
-  let pid = locate_page eng ti ~key in
-  let current_versions, first_hist =
-    BP.with_page eng.E.pool pid (fun fr ->
-        let page = BP.bytes fr in
-        E.stamp_page eng fr;
-        (versions_of_key_image page ~key, P.history_pointer page))
-  in
-  (* Walk the chain once on the coordinator, capturing page images in
-     chain order (newest first).  Frame bytes must not outlive the pin,
-     so the fallback extracts inside [with_page]. *)
-  let chain = ref [] in
-  let p = ref first_hist in
-  while !p <> P.no_page do
-    let pid' = !p in
-    match HC.get hc ~table_id pid' with
-    | Some page ->
-        chain := `Image page :: !chain;
-        p := P.history_pointer page
-    | None ->
-        M.incr eng.E.metrics M.scan_parallel_fallbacks;
-        let rows, next =
-          BP.with_page eng.E.pool pid' (fun fr ->
-              E.stamp_page eng fr;
-              let page = E.decoded_history eng (BP.bytes fr) in
-              (versions_of_key_image page ~key, P.history_pointer page))
-        in
-        chain := `Rows rows :: !chain;
-        p := next
-  done;
-  let chain = Array.of_list (List.rev !chain) in
-  Imdb_obs.Tracer.add_attr coord "chain" (string_of_int (Array.length chain));
-  let extracted =
-    Imdb_parallel.Pool.run pool
-      (fun i ->
-        Imdb_obs.Tracer.with_span eng.E.tracer ~parent:coord "history.page"
-          ~attrs:[ ("link", string_of_int i) ]
-        @@ fun _ ->
-        match chain.(i) with
-        | `Image page -> versions_of_key_image page ~key
-        | `Rows rows -> rows)
-      (Array.length chain)
-  in
-  publish_histcache_delta eng ~before:s0 hc;
-  (* Merge newest page first, deduping on the start timestamp (redundant
-     copies from time splits appear in two pages) — the same order the
-     serial walk visits, so the result is identical. *)
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  let add (ts, v) =
-    if not (Hashtbl.mem seen ts) then begin
-      Hashtbl.add seen ts ();
-      out := (ts, v) :: !out
-    end
-  in
-  List.iter add current_versions;
-  Array.iter (fun rows -> List.iter add rows) extracted;
-  List.sort (fun (a, _) (b, _) -> Ts.compare b a) !out
-
-let history eng txn ti ~key =
-  E.check_running txn;
-  if ti.Catalog.ti_mode <> Catalog.Immortal then
-    raise (Not_versioned (ti.Catalog.ti_name ^ ": history needs an IMMORTAL table"));
-  flush_ingest eng ti;
-  match eng.E.histcache with
-  | Some hc -> (
-      match E.scan_pool eng with
-      | Some pool -> history_parallel eng pool hc ti ~key
-      | None -> history_serial eng ti ~key)
-  | None -> history_serial eng ti ~key
 
 (* --- maintenance hooks used by commit (eager timestamping) ------------------ *)
 

@@ -111,10 +111,12 @@ let commit eng txn =
     in
     E.fold_txn_stats eng txn ~committed:true ?latency_ticks ~batch_pos ();
     eng.E.commits_since_checkpoint <- eng.E.commits_since_checkpoint + 1;
-    Imdb_obs.Tracer.add_attr sp "tid" (Tid.to_string txn.E.tx_tid);
-    Imdb_obs.Tracer.add_attr sp "ts" (Ts.to_string ts);
-    Imdb_obs.Tracer.add_attr sp "writes"
-      (string_of_int (List.length txn.E.tx_writes));
+    if Imdb_obs.Tracer.enabled eng.E.tracer then begin
+      Imdb_obs.Tracer.add_attr sp "tid" (Tid.to_string txn.E.tx_tid);
+      Imdb_obs.Tracer.add_attr sp "ts" (Ts.to_string ts);
+      Imdb_obs.Tracer.add_attr sp "writes"
+        (string_of_int (List.length txn.E.tx_writes))
+    end;
     (* an auto-checkpoint (and the PTT GC inside it) shows up as a child
        of the commit that tripped it — exactly the causality the tracer
        exists to surface *)
@@ -278,7 +280,10 @@ let abort eng txn =
   | E.Finished -> raise E.Txn_finished
   | E.Running | E.Rolling_back -> ());
   Imdb_obs.Tracer.with_span eng.E.tracer "txn.abort"
-    ~attrs:[ ("tid", Tid.to_string txn.E.tx_tid) ]
+    ~attrs:
+      (if Imdb_obs.Tracer.enabled eng.E.tracer then
+         [ ("tid", Tid.to_string txn.E.tx_tid) ]
+       else [])
   @@ fun _ ->
   txn.E.tx_state <- E.Rolling_back;
   if txn.E.tx_begun then begin

@@ -7,10 +7,10 @@
    result is a pure function — deterministic under the logical clock.
 
    The registry is domain-safe: every mutation and read of the hashtables
-   runs under one internal mutex, because the parallel scan path lets
-   worker domains record work (disk reads, visit counters) concurrently
-   with the coordinator.  The [null] registry short-circuits on [on]
-   before touching the lock, so disabled recording stays one branch. *)
+   runs under one internal mutex, because sessions on several domains
+   record work while the monitor thread samples the registry.  The [null]
+   registry short-circuits on [on] before touching the lock, so disabled
+   recording stays one branch. *)
 
 type hist = {
   mutable hc_count : int;
@@ -19,27 +19,12 @@ type hist = {
   buckets : int array;
 }
 
-type phase = Span_begin | Span_end | Instant
-
-type event = {
-  ev_seq : int;
-  ev_name : string;
-  ev_phase : phase;
-  ev_attrs : (string * string) list;
-}
-
-let default_trace_capacity = 1024
-
 type t = {
   on : bool;
   lock : Mutex.t;
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, int ref) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
-  ring : event Queue.t;
-  mutable ring_cap : int;
-  mutable ring_seq : int;
-  mutable ring_dropped : int;
 }
 
 let make on =
@@ -49,10 +34,6 @@ let make on =
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 8;
     hists = Hashtbl.create 16;
-    ring = Queue.create ();
-    ring_cap = default_trace_capacity;
-    ring_seq = 0;
-    ring_dropped = 0;
   }
 
 let create () = make true
@@ -73,9 +54,7 @@ let reset t =
   locked t (fun () ->
       Hashtbl.reset t.counters;
       Hashtbl.reset t.gauges;
-      Hashtbl.reset t.hists;
-      Queue.clear t.ring;
-      t.ring_dropped <- 0)
+      Hashtbl.reset t.hists)
 
 (* --- counters ------------------------------------------------------ *)
 
@@ -212,38 +191,12 @@ let diff ~(before : snapshot) ~(after : snapshot) : snapshot =
 let pp_snapshot ppf (s : snapshot) =
   List.iter (fun (k, v) -> Fmt.pf ppf "%-28s %d@." k v) s
 
-(* --- trace ring ---------------------------------------------------- *)
-
-let set_trace_capacity t cap =
-  if t.on then
-    locked t (fun () ->
-        t.ring_cap <- max 1 cap;
-        Queue.clear t.ring;
-        t.ring_dropped <- 0)
-
-let trace t ?(attrs = []) phase name =
-  if t.on then
-    locked t (fun () ->
-        let ev =
-          { ev_seq = t.ring_seq; ev_name = name; ev_phase = phase; ev_attrs = attrs }
-        in
-        t.ring_seq <- t.ring_seq + 1;
-        if Queue.length t.ring >= t.ring_cap then begin
-          ignore (Queue.pop t.ring);
-          t.ring_dropped <- t.ring_dropped + 1
-        end;
-        Queue.push ev t.ring)
-
-let trace_events_unlocked t = List.of_seq (Queue.to_seq t.ring)
-let trace_events t = locked t (fun () -> trace_events_unlocked t)
-let trace_dropped t = locked t (fun () -> t.ring_dropped)
-
 (* --- JSON exposition ----------------------------------------------- *)
 
 (* v2: hot-path overhaul counters (buffer.clock_sweeps, the keydir
    hit/miss pair) and the txn.group_commit_batch histogram.
-   v3: parallel read path — the histcache hit/miss/eviction counters,
-   scan.parallel_fallbacks, and the scan.fanout histogram.
+   v3: parallel read path — page-cache hit/miss/eviction counters, a
+   fallback counter and a fan-out histogram (all dropped in v10).
    v4: history compression — the compress.* counters/gauge, the
    hist.bytes_written counter, the compress.decode_ns histogram — and
    the ptt.gc_batch histogram for batched checkpoint-time GC.
@@ -266,18 +219,16 @@ let trace_dropped t = locked t (fun () -> t.ring_dropped)
    v9: live introspection — the session.* commit-time counters
    (rows_read, rows_written: per-txn tallies folded in at commit) and the
    monitor.* counters (samples, dropped) fed by the continuous monitor
-   sampler when one is running. *)
-let schema_version = 9
+   sampler when one is running.
+
+   v10: one AS OF read path — the v3 instruments are gone with the
+   parallel scan fan-out they measured. *)
+let schema_version = 10
 
 let sorted_int_obj tbl =
   Hashtbl.fold (fun k r acc -> (k, Json.Int !r) :: acc) tbl [] |> List.sort compare
 
-let phase_string = function
-  | Span_begin -> "begin"
-  | Span_end -> "end"
-  | Instant -> "instant"
-
-let to_json ?(traces = false) t =
+let to_json t =
   locked t @@ fun () ->
   let hists =
     Hashtbl.fold
@@ -297,42 +248,15 @@ let to_json ?(traces = false) t =
       t.hists []
     |> List.sort compare
   in
-  let base =
+  Json.Obj
     [
       ("schema_version", Json.Int schema_version);
       ("counters", Json.Obj (sorted_int_obj t.counters));
       ("gauges", Json.Obj (sorted_int_obj t.gauges));
       ("histograms", Json.Obj hists);
     ]
-  in
-  let tr =
-    if not traces then []
-    else
-      [
-        ( "traces",
-          Json.Obj
-            [
-              ("dropped", Json.Int t.ring_dropped);
-              ( "events",
-                Json.List
-                  (List.map
-                     (fun ev ->
-                       Json.Obj
-                         [
-                           ("seq", Json.Int ev.ev_seq);
-                           ("name", Json.String ev.ev_name);
-                           ("phase", Json.String (phase_string ev.ev_phase));
-                           ( "attrs",
-                             Json.Obj
-                               (List.map (fun (k, v) -> (k, Json.String v)) ev.ev_attrs) );
-                         ])
-                     (trace_events_unlocked t)) );
-            ] );
-      ]
-  in
-  Json.Obj (base @ tr)
 
-let to_json_string ?traces t = Json.to_string (to_json ?traces t)
+let to_json_string t = Json.to_string (to_json t)
 
 (* --- Prometheus text exposition ------------------------------------ *)
 
@@ -402,16 +326,12 @@ let key_splits = "split.key"
 let split_copied = "split.copied"
 let asof_pages = "asof.pages_visited"
 let asof_versions = "asof.versions_visited"
-let histcache_hits = "histcache.hits"
-let histcache_misses = "histcache.misses"
-let histcache_evictions = "histcache.evictions"
 let hist_bytes_written = "hist.bytes_written"
 let compress_pages = "compress.pages"
 let compress_fallbacks = "compress.fallbacks"
 let compress_raw_bytes = "compress.raw_bytes"
 let compress_written_bytes = "compress.written_bytes"
 let compress_ratio = "compress.ratio"
-let scan_parallel_fallbacks = "scan.parallel_fallbacks"
 let txn_commits = "txn.commits"
 let txn_aborts = "txn.aborts"
 let btree_node_splits = "btree.node_splits"
@@ -443,7 +363,6 @@ let h_log_flush_bytes = "log.flush_bytes"
 let h_commit_writes = "txn.commit_writes"
 let h_group_commit_batch = "txn.group_commit_batch"
 let h_commit_latency_ms = "txn.commit_latency_ms"
-let h_scan_fanout = "scan.fanout"
 let h_compress_decode_ns = "compress.decode_ns"
 let h_ptt_gc_batch = "ptt.gc_batch"
 let h_split_current_live = "split.current_live"

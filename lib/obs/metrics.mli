@@ -10,8 +10,8 @@
     for bit.  See DESIGN.md "Deterministic observability".
 
     The registry is domain-safe: recording and reading may happen from
-    worker domains concurrently with the coordinator (an internal mutex
-    guards the tables; [null] short-circuits before it). *)
+    several domains at once (an internal mutex guards the tables; [null]
+    short-circuits before it). *)
 
 type t
 
@@ -25,9 +25,8 @@ val null : t
 val enabled : t -> bool
 
 val reset : t -> unit
-(** Zero all counters, gauges and histograms and clear the trace ring of
-    [t] only — unlike the old [Stats.reset_all] this cannot touch another
-    engine's registry. *)
+(** Zero all counters, gauges and histograms of [t] only — unlike the old
+    [Stats.reset_all] this cannot touch another engine's registry. *)
 
 (** {1 Counters} — named, monotonic. *)
 
@@ -87,51 +86,20 @@ val diff : before:snapshot -> after:snapshot -> snapshot
 
 val pp_snapshot : Format.formatter -> snapshot -> unit
 
-(** {1 Trace events} — a bounded ring buffer of span begin/end/instant
-    events for post-hoc inspection of a run.  When full, the oldest event
-    is dropped and [trace_dropped] counts it. *)
-
-type phase = Span_begin | Span_end | Instant
-
-type event = {
-  ev_seq : int;  (** monotonic per registry, never reused *)
-  ev_name : string;
-  ev_phase : phase;
-  ev_attrs : (string * string) list;
-}
-
-val default_trace_capacity : int
-
-val set_trace_capacity : t -> int -> unit
-(** Also clears the ring. Capacity < 1 is clamped to 1. *)
-
-val trace : t -> ?attrs:(string * string) list -> phase -> string -> unit
-
-val trace_events : t -> event list
-(** Oldest first. *)
-
-val trace_dropped : t -> int
-
 (** {1 JSON exposition} — the stable schema consumed by
     [imdb stats --json], the SQL [METRICS] pragma and the bench harness:
 
     {v
-    { "schema_version": 9,
+    { "schema_version": 10,
       "counters":   { "<name>": <int>, ... },              (sorted)
       "gauges":     { "<name>": <int>, ... },              (sorted)
       "histograms": { "<name>": { "count": n, "sum": n, "max": n,
-                                  "p50": n, "p90": n, "p99": n }, ... },
-      "traces":     { "dropped": n,
-                      "events": [ { "seq": n, "name": s,
-                                    "phase": "begin"|"end"|"instant",
-                                    "attrs": { ... } }, ... ] }
-    v}
-
-    [traces] is omitted unless [~traces:true]. *)
+                                  "p50": n, "p90": n, "p99": n }, ... } }
+    v} *)
 
 val schema_version : int
-val to_json : ?traces:bool -> t -> Json.t
-val to_json_string : ?traces:bool -> t -> string
+val to_json : t -> Json.t
+val to_json_string : t -> string
 
 val to_prometheus : t -> string
 (** Prometheus text exposition (version 0.0.4): every counter and gauge
@@ -165,10 +133,6 @@ val key_splits : string
 val split_copied : string
 val asof_pages : string
 val asof_versions : string
-val histcache_hits : string
-val histcache_misses : string
-val histcache_evictions : string
-
 val hist_bytes_written : string
 (** Bytes logged for history page images at time splits (the permanent
     storage cost of a split, plain or compressed). *)
@@ -181,7 +145,6 @@ val compress_written_bytes : string
 val compress_ratio : string
 (** Gauge: cumulative compressed/raw percentage for history images. *)
 
-val scan_parallel_fallbacks : string
 val txn_commits : string
 val txn_aborts : string
 val btree_node_splits : string
@@ -261,7 +224,6 @@ val h_group_commit_batch : string
 (* [h_commit_latency_ms] records clock ticks between a writer's snapshot
    and its commit timestamp — logical-clock ticks, not wall time. *)
 val h_commit_latency_ms : string
-val h_scan_fanout : string
 val h_compress_decode_ns : string
 val h_ptt_gc_batch : string
 val h_split_current_live : string

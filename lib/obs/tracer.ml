@@ -128,17 +128,14 @@ let push_slow t c =
 
 let add_attr sp k v = if sp.sp_sampled then sp.sp_attrs <- (k, v) :: sp.sp_attrs
 
-let open_span t ?parent ~attrs name =
+let open_span t ~attrs name =
   locked t (fun () ->
       let did = (Domain.self () :> int) in
       let stack = stack_for t did in
-      let parent_sp =
-        match parent with
-        | Some _ as p -> p
-        | None -> ( match !stack with sp :: _ -> Some sp | [] -> None)
-      in
-      let sampled =
-        match parent_sp with Some p -> p.sp_sampled | None -> sample_root t
+      let sampled, parent =
+        match !stack with
+        | sp :: _ -> (sp.sp_sampled, sp.sp_id)
+        | [] -> (sample_root t, 0)
       in
       let sp =
         if not sampled then null_span
@@ -147,10 +144,7 @@ let open_span t ?parent ~attrs name =
           t.next_id <- id + 1;
           {
             sp_id = id;
-            sp_parent =
-              (match parent_sp with
-              | Some p when p.sp_sampled -> p.sp_id
-              | _ -> 0);
+            sp_parent = parent;
             sp_name = name;
             sp_sampled = true;
             sp_start_us = t.clock_us ();
@@ -190,10 +184,10 @@ let close_span t sp =
         end
       end)
 
-let with_span t ?(attrs = []) ?parent name f =
+let with_span t ?(attrs = []) name f =
   if not t.on then f null_span
   else begin
-    let sp = open_span t ?parent ~attrs name in
+    let sp = open_span t ~attrs name in
     Fun.protect ~finally:(fun () -> close_span t sp) (fun () -> f sp)
   end
 

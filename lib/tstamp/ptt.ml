@@ -49,9 +49,7 @@ let root t = Imdb_btree.Btree.root t.tree
 
 (* Commit-path insert: one logged update per transaction. *)
 let insert t tid ts =
-  Imdb_obs.Tracer.with_span t.tracer "ptt.insert"
-    ~attrs:[ ("tid", Tid.to_string tid) ]
-  @@ fun _ ->
+  Imdb_obs.Tracer.with_span t.tracer "ptt.insert" @@ fun _ ->
   M.incr t.metrics M.ptt_inserts;
   Imdb_btree.Btree.insert t.tree ~key:(key_of_tid tid) ~value:(value_of_ts ts)
 

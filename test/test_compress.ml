@@ -32,9 +32,8 @@ let fresh ?compress () =
 
 let k i = Printf.sprintf "k%03d" i
 
-(* Same op-application discipline as test_parscan: deletes of absent keys
-   become upserts so any generated sequence is total, and the clock ticks
-   identically per commit. *)
+(* Deletes of absent keys become upserts so any generated sequence is
+   total, and the clock ticks identically per commit. *)
 let apply db clock ops =
   let present = Hashtbl.create 32 in
   List.mapi

@@ -30,7 +30,6 @@ let () =
       ("sql", Test_sql.suite);
       ("sql2", Test_sql2.suite);
       ("workload", Test_workload.suite);
-      ("parscan", Test_parscan.suite);
       ("compress", Test_compress.suite);
       ("tracer", Test_tracer.suite);
       ("ingest", Test_ingest.suite);

@@ -117,6 +117,67 @@ let test_paper_query_shape () =
   | _ -> Alcotest.fail "unexpected results");
   Db.close db
 
+(* --- a window whose answer spans several history pages ------------------ *)
+
+let k i = Printf.sprintf "k%03d" i
+
+(* Rounds of upserts with varying payload sizes: deep history chains and
+   (with enough keys) router key splits. *)
+let churn db clock ~keys ~rounds =
+  List.concat_map
+    (fun r ->
+      List.map
+        (fun i ->
+          let ts =
+            commit_write db (fun txn ->
+                Db.upsert db txn ~table:"t" ~key:(k i)
+                  ~payload:
+                    (Printf.sprintf "r%d-%s-%s" r (k i)
+                       (String.make (20 + ((r * 7) + i mod 40)) 'x')))
+          in
+          tick clock;
+          ts)
+        (List.init keys Fun.id))
+    (List.init rounds Fun.id)
+
+let scan_vs_pointwise db ts ~lo_i ~hi_i =
+  let got = ref [] in
+  Db.as_of db ts (fun txn ->
+      Db.scan ~lo:(k lo_i) ~hi:(k hi_i) db txn ~table:"t" (fun key v ->
+          got := (key, v) :: !got));
+  let expected =
+    List.filter_map
+      (fun i ->
+        Db.as_of db ts (fun txn -> Db.get db txn ~table:"t" ~key:(k i))
+        |> Option.map (fun v -> (k i, v)))
+      (List.init (hi_i - lo_i) (fun d -> lo_i + d))
+  in
+  Alcotest.(check (list (pair string string))) "window vs pointwise" expected
+    (List.rev !got)
+
+let test_range_spans_history_pages ~tsb () =
+  let config =
+    {
+      default_config with
+      Imdb_core.Engine.page_size = 1024;
+      pool_capacity = 32;
+      tsb_enabled = tsb;
+    }
+  in
+  let db, clock = fresh_db ~config () in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
+  (* enough keys for router key splits, enough rounds for deep chains:
+     a window's answer then lives in several historical pages *)
+  let tss = churn db clock ~keys:60 ~rounds:12 in
+  let n = List.length tss in
+  List.iter
+    (fun idx ->
+      let ts = List.nth tss idx in
+      scan_vs_pointwise db ts ~lo_i:0 ~hi_i:60;
+      scan_vs_pointwise db ts ~lo_i:10 ~hi_i:45)
+    [ n / 10; n / 3; n / 2; 3 * n / 4; n - 1 ];
+  Db.close db
+
 let suite =
   [
     Alcotest.test_case "current range" `Quick test_current_range;
@@ -125,4 +186,8 @@ let suite =
     Alcotest.test_case "snapshot range + own writes" `Quick test_snapshot_range_own_writes;
     Alcotest.test_case "SQL range pushdown" `Quick test_sql_range_pushdown;
     Alcotest.test_case "paper's example query" `Quick test_paper_query_shape;
+    Alcotest.test_case "AS OF window spans history pages (chain)" `Quick
+      (test_range_spans_history_pages ~tsb:false);
+    Alcotest.test_case "AS OF window spans history pages (TSB)" `Quick
+      (test_range_spans_history_pages ~tsb:true);
   ]
