@@ -502,13 +502,18 @@ let ablations ~scale =
     Db.close db;
     (final, h)
   in
-  let gc_final, gc_hist = run_gc ~checkpoint_every:1000 in
+  (* checkpoint often enough that GC runs several times even at --quick
+     scale; at paper scale this is the usual 1000 *)
+  let gc_every = min 1000 (gc_txns / 8) in
+  let gc_final, gc_hist = run_gc ~checkpoint_every:gc_every in
   let nogc_final, _ = run_gc ~checkpoint_every:0 in
   let gc_batches, gc_drained =
     match gc_hist with
     | Some h -> (h.M.h_count, h.M.h_sum)
     | None -> (0, 0)
   in
+  if gc_drained = 0 then
+    failwith "ablations: PTT GC drained no TIDs (checkpoint interval too long?)";
   (* Ext G: storage across table modes *)
   let sp_txns = Harness.scaled ~scale 20000 in
   let sp_events = Mo.generate ~seed:42 ~inserts:(min 500 sp_txns) ~total:sp_txns () in

@@ -1,14 +1,21 @@
-(* Monitor-overhead experiment (Ext L): the same deterministic workload
+(* Monitor-overhead experiment (Ext M): the same deterministic workload
    with the continuous monitor off / at 100 ms / at 10 ms, proving the
    "cheap when off" contract of lib/obs/monitor.
 
-   Wall times are printed for the operator (the acceptance bar: 100 ms
-   sampling within ~2% of off on this hot path), but BENCH_monitorov.json
-   carries only the deterministic verdict: a [counters_identical] bool
-   certifying that sampling changed nothing the engine itself counts.
-   The monitor's own counters (monitor.samples, monitor.dropped) are
-   wall-clock driven and excluded from the comparison, exactly as
-   traceov excludes trace.*. *)
+   The engine samples at the end of the first operation past each
+   deadline on its own clock, and this workload runs on a logical clock
+   advanced 20 ms per transaction, so each mode's sample count is a pure
+   function of the workload.  Wall times are printed for the operator
+   only: the logical clock packs minutes of engine time into a fraction
+   of a second, so these runs sample far more often per CPU second than
+   a wall-clock engine would (EXPERIMENTS.md Ext M).
+   BENCH_monitorov.json carries the deterministic part: each
+   mode's sample count and a [counters_identical] bool certifying that
+   sampling changed nothing the engine itself counts.  The monitor's own
+   counters (monitor.samples, monitor.dropped) are excluded from that
+   comparison, exactly as traceov excludes trace.*.  A mode that has the
+   monitor on but records no sample fails the run: an overhead figure
+   with nothing sampled would measure nothing. *)
 
 module Db = Imdb_core.Db
 module E = Imdb_core.Engine
@@ -28,8 +35,8 @@ let is_monitor_counter name =
   String.length name >= 8 && String.sub name 0 8 = "monitor."
 
 (* Update-heavy traffic over a small key set — the hotpath shape: group
-   commit, lazy stamping, time splits all fire while the sampler thread
-   (when on) snapshots the registry behind the workload's back. *)
+   commit, lazy stamping, time splits all fire while the monitor (when
+   on) snapshots the registry at its deadlines. *)
 let run_mode ~scale ~interval_ms =
   let txns = Harness.scaled ~scale 6000 in
   let keys = 64 in
@@ -85,6 +92,11 @@ let run ~scale =
            string_of_int samples;
          ])
        results);
+  List.iter
+    (fun (name, interval_ms, (_, _, samples, _)) ->
+      if interval_ms > 0 && samples = 0 then
+        failwith (Printf.sprintf "monitorov: mode %s recorded no samples" name))
+    results;
   let snapshots = List.map (fun (_, _, (_, _, _, snap)) -> snap) results in
   let counters_identical =
     match snapshots with
@@ -101,12 +113,13 @@ let run ~scale =
          ( "modes",
            J.List
              (List.map
-                (fun (name, interval_ms, (_, txns, _, _)) ->
+                (fun (name, interval_ms, (_, txns, samples, _)) ->
                   J.Obj
                     [
                       ("mode", J.String name);
                       ("interval_ms", J.Int interval_ms);
                       ("txns", J.Int txns);
+                      ("samples", J.Int samples);
                     ])
                 results) );
          ("counters_identical", J.Bool counters_identical);

@@ -403,13 +403,10 @@ let locks_cmd =
 (* --- monitor ---------------------------------------------------------------- *)
 
 let monitor_cmd =
-  let interval =
-    Arg.(value & opt int 1000
-         & info [ "interval" ] ~docv:"MS" ~doc:"Monitor sampling interval in milliseconds.")
-  in
   let watch =
     Arg.(value & opt int 2
-         & info [ "watch" ] ~docv:"SECS" ~doc:"Refresh the live view every SECS seconds.")
+         & info [ "watch" ] ~docv:"SECS"
+             ~doc:"Sample and refresh the live view every SECS seconds.")
   in
   let count =
     Arg.(value & opt int 0
@@ -421,20 +418,23 @@ let monitor_cmd =
              ~doc:"Take one sample, emit the monitor ring (samples, rates, \
                    histogram percentiles) as JSON, and exit.")
   in
-  let run dir interval watch count json =
-    let config = { E.default_config with E.monitor_interval_ms = max 1 interval } in
+  let run dir watch count json =
+    let watch = max 1 watch in
+    let config = { E.default_config with E.monitor_interval_ms = watch * 1000 } in
     with_db ~config dir (fun db ->
         let mon = Db.monitor db in
-        if json then begin
-          Imdb_obs.Monitor.sample mon;
-          Fmt.pr "%s@." (J.to_string (Db.monitor_json db))
-        end
+        (* this process's engine is idle, so no operation of its own
+           reaches the monitor's deadline: sample explicitly, once up
+           front and then before each refresh *)
+        Imdb_obs.Monitor.sample mon;
+        if json then Fmt.pr "%s@." (J.to_string (Db.monitor_json db))
         else begin
           let m = Db.metrics db in
           let k = ref 0 in
           while count = 0 || !k < count do
             incr k;
-            Unix.sleepf (float_of_int (max 1 watch));
+            Unix.sleepf (float_of_int watch);
+            Imdb_obs.Monitor.sample mon;
             (match Imdb_obs.Monitor.rates mon with
             | Some r ->
                 Fmt.pr
@@ -445,8 +445,7 @@ let monitor_cmd =
                 | Some h -> Fmt.pr "  commit-ms p50=%d p99=%d" h.M.h_p50 h.M.h_p99
                 | None -> ());
                 Fmt.pr "@."
-            | None -> Fmt.pr "(no samples yet: interval %dms)@."
-                        (Imdb_obs.Monitor.interval_ms mon));
+            | None -> Fmt.pr "(no samples yet)@.");
             Fmt.flush Fmt.stdout ()
           done
         end)
@@ -456,7 +455,7 @@ let monitor_cmd =
        ~doc:"Live engine monitor: continuous sampling of the metrics \
              registry with derived rates (txn/s, WAL bytes/s, splits/s, \
              stamping backlog) and latency percentiles.")
-    Term.(const run $ dir_arg $ interval $ watch $ count $ json_flag)
+    Term.(const run $ dir_arg $ watch $ count $ json_flag)
 
 (* --- trace ------------------------------------------------------------------ *)
 

@@ -130,9 +130,6 @@ let crash_and_reopen ?config ?clock t =
   ex t (fun () ->
       Imdb_wal.Wal.crash_volatile t.eng.E.wal;
       Imdb_buffer.Buffer_pool.drop_all t.eng.E.pool);
-  (* the dead engine's sampler thread must not keep running (nor keep
-     its domain unjoinable) after the "crash" *)
-  Imdb_obs.Monitor.stop t.eng.E.monitor;
   let config = Option.value config ~default:t.eng.E.config in
   open_devices ~config ?clock ~disk:t.disk ~log_device:t.log_device ()
 

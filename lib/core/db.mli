@@ -280,7 +280,10 @@ val locks_json : t -> Imdb_obs.Json.t
 
 val monitor : t -> Imdb_obs.Monitor.t
 (** The continuous monitor ({!Imdb_obs.Monitor.null} unless the engine
-    config enables it via [monitor_interval_ms > 0]). *)
+    config enables it via [monitor_interval_ms > 0]).  It samples at the
+    end of the first operation past each deadline on the engine clock;
+    a caller watching an idle database calls {!Imdb_obs.Monitor.sample}
+    itself. *)
 
 val monitor_json : t -> Imdb_obs.Json.t
 (** The monitor's ring of samples plus derived rates and latency

@@ -35,8 +35,6 @@ type config = {
       (* 0 = tracing off (the null tracer: one dead branch per site);
          1 = every root span; n > 1 = every n-th root span, children
          following their root *)
-  slow_op_threshold_us : int;
-      (* spans at least this long are retained in the slow-op ring *)
   ingest_buffering : bool;
       (* buffer immortal-table writes as messages and flush them in
          batches; false = the per-row descent path, bit-for-bit identical
@@ -44,10 +42,6 @@ type config = {
   ingest_buffer_rows : int;
       (* messages accumulated before a fill-triggered flush (the page
          itself caps the buffer regardless) *)
-  ingest_split_hint : bool;
-      (* let batch-arrival occupancy trigger early key splits at flush
-         time; changes page layout (never results), so off by default to
-         keep buffered==unbuffered structures identical *)
   lock_wait_timeout_ms : int;
       (* 0 = fail-fast lock acquisition (a conflict raises immediately
          — the historical single-session behavior, where parking would
@@ -57,9 +51,9 @@ type config = {
          as timeout victim *)
   monitor_interval_ms : int;
       (* 0 = no continuous monitor (the null monitor: one dead branch
-         per site); > 0 = a background thread samples the counter
-         registry every this many milliseconds into a bounded ring *)
-  monitor_capacity : int; (* samples retained by the monitor ring *)
+         per operation); > 0 = the first public operation to end past
+         each deadline, deadlines this many milliseconds of engine clock
+         apart, samples the counter registry into a bounded ring *)
   flight_recorder_dir : string option;
       (* when set, recovery-after-crash writes a post-mortem JSON report
          (monitor ring, slow ops, lock dump, metrics) into this
@@ -77,13 +71,10 @@ let default_config =
     group_commit_window = 1;
     history_compression = true;
     trace_sampling = 0;
-    slow_op_threshold_us = 10_000;
     ingest_buffering = true;
     ingest_buffer_rows = 64;
-    ingest_split_hint = false;
     lock_wait_timeout_ms = 0;
     monitor_interval_ms = 0;
-    monitor_capacity = 600;
     flight_recorder_dir = None;
   }
 
@@ -176,8 +167,8 @@ type t = {
       (* per-session cumulative statistics, keyed by session id (0 =
          anonymous); gate-guarded *)
   monitor : Imdb_obs.Monitor.t;
-      (* the continuous sampler; [Monitor.null] unless
-         config.monitor_interval_ms > 0 *)
+      (* the continuous sampler, on the engine clock; [Monitor.null]
+         unless config.monitor_interval_ms > 0 *)
 }
 
 let vtt t = Imdb_tstamp.Lazy_stamper.vtt t.stamper
@@ -211,10 +202,17 @@ let gate_exit t =
   end
 
 (* Run [f] holding the session gate.  Reentrant, so public operations
-   compose freely; a single session pays two uncontended mutex ops. *)
+   compose freely; a single session pays two uncontended mutex ops.  The
+   end of the outermost section is the monitor's sampling point, still
+   under the gate: every public operation, reads included, checks the
+   deadline, so sampling keeps pace with the engine's own work. *)
 let exclusively t f =
   gate_enter t;
-  Fun.protect ~finally:(fun () -> gate_exit t) f
+  Fun.protect
+    ~finally:(fun () ->
+      if t.gate_depth = 1 then Imdb_obs.Monitor.tick t.monitor;
+      gate_exit t)
+    f
 
 (* Fully release the gate (returning the saved depth) and retake it —
    for the two places a session must get out of every other session's
@@ -654,7 +652,8 @@ let decoded_history t page =
               let img = Imdb_storage.Vcompress.decode page in
               Imdb_obs.Metrics.observe t.metrics Imdb_obs.Metrics.h_compress_decode_ns
                 (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
-              Imdb_obs.Tracer.add_attr sp "page" (string_of_int pid);
+              if Imdb_obs.Tracer.enabled t.tracer then
+                Imdb_obs.Tracer.add_attr sp "page" (string_of_int pid);
               img)
         in
         if Queue.length t.hist_decoded_order >= hist_decoded_capacity then begin
@@ -807,7 +806,6 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
   Mx.ensure_counter metrics Mx.ingest_flush_messages;
   Mx.ensure_counter metrics Mx.ingest_flush_pages;
   Mx.ensure_counter metrics Mx.ingest_deferred_splits;
-  Mx.ensure_counter metrics Mx.ingest_hint_key_splits;
   Mx.ensure_counter metrics Mx.lock_acquires;
   Mx.ensure_counter metrics Mx.lock_conflicts;
   Mx.ensure_counter metrics Mx.lock_deadlocks;
@@ -827,8 +825,7 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
   let tracer =
     if config.trace_sampling <= 0 then Imdb_obs.Tracer.null
     else
-      Imdb_obs.Tracer.create ~sampling:config.trace_sampling
-        ~slow_threshold_us:config.slow_op_threshold_us ~metrics ()
+      Imdb_obs.Tracer.create ~sampling:config.trace_sampling ~metrics ()
   in
   Imdb_storage.Disk.set_metrics disk metrics;
   let wal = Imdb_wal.Wal.open_device ~metrics log_device in
@@ -877,12 +874,11 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
       monitor =
         (if config.monitor_interval_ms > 0 then
            Imdb_obs.Monitor.create ~interval_ms:config.monitor_interval_ms
-             ~capacity:config.monitor_capacity metrics
+             ~clock_us:(fun () -> Int64.mul (Imdb_clock.Clock.now clock) 1000L)
+             metrics
          else Imdb_obs.Monitor.null);
     }
   in
-  (* start sampling right away: recovery activity is part of the record *)
-  Imdb_obs.Monitor.start t.monitor;
   (* Flush-time lazy stamping: volatile-only resolution, no logging. *)
   BP.set_pre_flush pool (fun page ->
       match P.page_type page with
@@ -958,9 +954,6 @@ let attach_system t =
     (list_tables t)
 
 let close t =
-  (* join the sampler thread first: the domain must stay joinable, and a
-     sample racing device close would read a half-torn-down engine *)
-  Imdb_obs.Monitor.stop t.monitor;
   (* a clean-shutdown checkpoint: the next open recovers from (nearly)
      the end of the log *)
   (if t.ptt <> None then try ignore (checkpoint t) with _ -> ());

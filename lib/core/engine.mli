@@ -31,9 +31,6 @@ type config = {
           the shared {!Imdb_obs.Tracer.null}; [1] records every root span;
           [n > 1] records every n-th root span, children following their
           root so sampled traces are complete trees. *)
-  slow_op_threshold_us : int;
-      (** spans at least this long (µs) are promoted to the tracer's
-          retained slow-op ring and counted in [trace.slow_ops] *)
   ingest_buffering : bool;
       (** buffer immortal-table writes as messages in a per-table
           [P_msg_buffer] page, flushed downward in batches (fill-,
@@ -43,9 +40,6 @@ type config = {
   ingest_buffer_rows : int;
       (** messages accumulated before a fill-triggered flush (the buffer
           page's own capacity caps this regardless) *)
-  ingest_split_hint : bool;
-      (** let batch-arrival occupancy trigger early key splits at flush
-          time; changes page layout (never results), so off by default *)
   lock_wait_timeout_ms : int;
       (** [0] (the default) keeps the historical fail-fast lock protocol:
           a conflict raises immediately — correct for one session, where
@@ -55,13 +49,16 @@ type config = {
           detection at edge insert and the waiter as timeout victim;
           deadlock and timeout both surface as {!Deadlock_abort}. *)
   monitor_interval_ms : int;
-      (** [0] (the default) disables the continuous monitor — every
-          sampling site short-circuits on {!Imdb_obs.Monitor.null};
-          [> 0] runs a background thread capturing a counter snapshot
-          into a bounded ring every this many milliseconds.  The monitor
-          only {e reads} the registry, so engine counters are identical
-          either way (proved by the BENCH_monitorov gate). *)
-  monitor_capacity : int;  (** samples retained by the monitor ring *)
+      (** [0] (the default) disables the continuous monitor — the
+          sampling point short-circuits on {!Imdb_obs.Monitor.null};
+          [> 0] captures a counter snapshot into a bounded ring of
+          {!Imdb_obs.Monitor.default_capacity} samples at the end of the
+          first public operation after each deadline, deadlines spaced
+          this many milliseconds apart on the engine clock (so a logical
+          clock samples deterministically, and an idle engine not at
+          all).  The monitor only {e reads} the registry, so engine
+          counters are identical either way (proved by the
+          BENCH_monitorov gate). *)
   flight_recorder_dir : string option;
       (** when set, recovery-after-crash writes a post-mortem JSON
           report (monitor ring, slow ops, lock dump, session stats,
@@ -176,7 +173,9 @@ val catalog_exn : t -> Imdb_btree.Btree.t
     committers batch one device sync). *)
 
 val exclusively : t -> (unit -> 'a) -> 'a
-(** Run [f] holding the session gate (reentrant). *)
+(** Run [f] holding the session gate (reentrant).  When the outermost
+    section ends, still under the gate, the engine's monitor checks its
+    sampling deadline ({!Imdb_obs.Monitor.tick}). *)
 
 val without_gate : t -> (unit -> 'a) -> 'a
 (** Run [f] with the gate fully released (restoring the entry depth
@@ -316,8 +315,7 @@ val attach_system : t -> unit
 (** Attach catalog/PTT from recovered metadata and load the table cache. *)
 
 val close : t -> unit
-(** Stops the monitor sampler thread, checkpoints, flushes and closes
-    the devices. *)
+(** Checkpoints, flushes and closes the devices. *)
 
 (** {1 Session statistics and introspection} *)
 

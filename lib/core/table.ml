@@ -179,13 +179,15 @@ let drop eng name =
    [split_at] is the deferred split time a buffer flush carries: the
    clock reading recorded when the overflowing message arrived, advanced
    past it — exactly the time an unbuffered descent would have chosen at
-   that write.  [incoming] (bytes still destined for this page in the
-   in-flight flush run) feeds the batch-occupancy key-split hint. *)
-let split_data_page ?split_at ?(incoming = 0) eng ti ~pid ~low ~high =
-  let threshold = eng.E.config.E.key_split_threshold in
+   that write. *)
+let split_data_page ?split_at eng ti ~pid ~low ~high =
+  let traced = Imdb_obs.Tracer.enabled eng.E.tracer in
+  let span_attrs () =
+    if traced then [ ("table", ti.Catalog.ti_name); ("page", string_of_int pid) ]
+    else []
+  in
   let key_split_page fr =
-    Imdb_obs.Tracer.with_span eng.E.tracer "split.key"
-      ~attrs:[ ("table", ti.Catalog.ti_name); ("page", string_of_int pid) ]
+    Imdb_obs.Tracer.with_span eng.E.tracer "split.key" ~attrs:(span_attrs ())
     @@ fun sp ->
     let page = BP.bytes fr in
     if List.length (V.keys page) < 2 then
@@ -198,7 +200,7 @@ let split_data_page ?split_at ?(incoming = 0) eng ti ~pid ~low ~high =
     E.exec_op eng fr ~undoable:false (LR.Op_image { image = ks.V.ks_left });
     BP.with_page eng.E.pool right_pid (fun rfr ->
         E.exec_op eng rfr ~undoable:false (LR.Op_image { image = ks.V.ks_right }));
-    Imdb_obs.Tracer.add_attr sp "right_page" (string_of_int right_pid);
+    if traced then Imdb_obs.Tracer.add_attr sp "right_page" (string_of_int right_pid);
     Imdb_btree.Btree.insert ~undoable:false (router eng ti) ~key:ks.V.ks_separator
       ~value:(page_id_value right_pid)
   in
@@ -210,8 +212,7 @@ let split_data_page ?split_at ?(incoming = 0) eng ti ~pid ~low ~high =
       match ti.Catalog.ti_mode with
       | Catalog.Conventional -> assert false
       | Catalog.Immortal ->
-          Imdb_obs.Tracer.with_span eng.E.tracer "split.time"
-            ~attrs:[ ("table", ti.Catalog.ti_name); ("page", string_of_int pid) ]
+          Imdb_obs.Tracer.with_span eng.E.tracer "split.time" ~attrs:(span_attrs ())
           @@ fun sp ->
           (* split at now, strictly after every issued commit timestamp
              (or at the flush's deferred clock reading) *)
@@ -258,9 +259,11 @@ let split_data_page ?split_at ?(incoming = 0) eng ti ~pid ~low ~high =
           in
           Imdb_obs.Metrics.incr ~by:(Bytes.length hist_image) eng.E.metrics
             Imdb_obs.Metrics.hist_bytes_written;
-          Imdb_obs.Tracer.add_attr sp "hist_page" (string_of_int hist_pid);
-          Imdb_obs.Tracer.add_attr sp "hist_bytes"
-            (string_of_int (Bytes.length hist_image));
+          if traced then begin
+            Imdb_obs.Tracer.add_attr sp "hist_page" (string_of_int hist_pid);
+            Imdb_obs.Tracer.add_attr sp "hist_bytes"
+              (string_of_int (Bytes.length hist_image))
+          end;
           BP.with_page eng.E.pool hist_pid (fun hfr ->
               E.exec_op eng hfr ~undoable:false (LR.Op_image { image = hist_image }));
           (match tsb eng ti with
@@ -275,18 +278,8 @@ let split_data_page ?split_at ?(incoming = 0) eng ti ~pid ~low ~high =
                   }
                 ~child:hist_pid
           | None -> ());
-          (match
-             Imdb_tsb.Tsb.should_key_split
-               ~utilization:(P.utilization (BP.bytes fr))
-               ~threshold ~incoming_bytes:incoming
-               ~capacity:(eng.E.config.E.page_size - P.header_size)
-           with
-          | `Utilization -> key_split_page fr
-          | `Batch_hint when List.length (V.keys (BP.bytes fr)) >= 2 ->
-              Imdb_obs.Metrics.incr eng.E.metrics
-                Imdb_obs.Metrics.ingest_hint_key_splits;
-              key_split_page fr
-          | `Batch_hint | `No -> ())
+          if P.utilization (BP.bytes fr) > eng.E.config.E.key_split_threshold
+          then key_split_page fr
       | Catalog.Snapshot_table ->
           let snapshots = E.active_snapshots eng in
           let img, dropped = V.gc_versions ~page ~snapshots in
@@ -432,20 +425,10 @@ let apply_messages eng ti msgs =
         (match leftover with
         | [] -> go 4 rest
         | m :: _ ->
-            let incoming =
-              if eng.E.config.E.ingest_split_hint then
-                List.fold_left
-                  (fun acc m ->
-                    acc
-                    + V.version_size ~key:m.Ingest.m_key
-                        ~payload:m.Ingest.m_payload)
-                  0 leftover
-              else 0
-            in
             Imdb_obs.Metrics.incr eng.E.metrics
               Imdb_obs.Metrics.ingest_deferred_splits;
             split_data_page eng ti ~pid ~low ~high
-              ~split_at:(Ts.succ m.Ingest.m_clock) ~incoming;
+              ~split_at:(Ts.succ m.Ingest.m_clock);
             let progressed = List.length leftover < List.length run in
             go (if progressed then 4 else budget - 1) (leftover @ rest))
   in

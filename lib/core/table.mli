@@ -111,21 +111,6 @@ val history :
 
 (** {1 Maintenance} *)
 
-val split_data_page :
-  ?split_at:Imdb_clock.Timestamp.t ->
-  ?incoming:int ->
-  Engine.t ->
-  Catalog.table_info ->
-  pid:int ->
-  low:string ->
-  high:string option ->
-  unit
-(** Make room in a full data page: time split + optional key split
-    (immortal) or version GC + fallback key split (snapshot).
-    [split_at] is a buffer flush's deferred split time; [incoming] feeds
-    the batch-occupancy key-split hint (both default to the classic
-    per-row behavior). *)
-
 val flush_ingest : Engine.t -> Catalog.table_info -> unit
 (** Drain the table's ingest buffer (no-op when empty or absent): apply
     every buffered message downward and truncate the buffer page.  Reads

@@ -315,10 +315,12 @@ let acquire_wait ?(timeout_us = 100_000) t tid res mode =
           let finish_wait w = M.observe t.metrics M.h_lock_wait_us w in
           Imdb_obs.Tracer.with_span t.tracer "lock.wait"
             ~attrs:
-              [
-                ("res", Fmt.str "%a" pp_resource res);
-                ("mode", Fmt.str "%a" pp_mode mode);
-              ]
+              (if Imdb_obs.Tracer.enabled t.tracer then
+                 [
+                   ("res", Fmt.str "%a" pp_resource res);
+                   ("mode", Fmt.str "%a" pp_mode mode);
+                 ]
+               else [])
           @@ fun _ ->
           let rec loop blockers =
             if note_wait_or_cycle t tid ~res ~mode blockers then begin

@@ -8,7 +8,7 @@
 
    The registry is domain-safe: every mutation and read of the hashtables
    runs under one internal mutex, because sessions on several domains
-   record work while the monitor thread samples the registry.  The [null]
+   record work while a monitor or a CLI samples the registry.  The [null]
    registry short-circuits on [on] before touching the lock, so disabled
    recording stays one branch. *)
 
@@ -222,8 +222,11 @@ let pp_snapshot ppf (s : snapshot) =
    sampler when one is running.
 
    v10: one AS OF read path — the v3 instruments are gone with the
-   parallel scan fan-out they measured. *)
-let schema_version = 10
+   parallel scan fan-out they measured.
+
+   v11: ingest.hint_key_splits is gone with the batch-occupancy key-split
+   hint it counted. *)
+let schema_version = 11
 
 let sorted_int_obj tbl =
   Hashtbl.fold (fun k r acc -> (k, Json.Int !r) :: acc) tbl [] |> List.sort compare
@@ -348,7 +351,6 @@ let ingest_flushes = "ingest.flushes"
 let ingest_flush_messages = "ingest.flush_messages"
 let ingest_flush_pages = "ingest.flush_pages"
 let ingest_deferred_splits = "ingest.deferred_splits"
-let ingest_hint_key_splits = "ingest.hint_key_splits"
 let lock_acquires = "lock.acquires"
 let lock_conflicts = "lock.conflicts"
 let lock_deadlocks = "lock.deadlocks"

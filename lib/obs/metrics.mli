@@ -90,7 +90,7 @@ val pp_snapshot : Format.formatter -> snapshot -> unit
     [imdb stats --json], the SQL [METRICS] pragma and the bench harness:
 
     {v
-    { "schema_version": 10,
+    { "schema_version": 11,
       "counters":   { "<name>": <int>, ... },              (sorted)
       "gauges":     { "<name>": <int>, ... },              (sorted)
       "histograms": { "<name>": { "count": n, "sum": n, "max": n,
@@ -184,10 +184,6 @@ val ingest_flush_pages : string
 
 val ingest_deferred_splits : string
 (** Time splits performed during a flush at a message's recorded clock. *)
-
-val ingest_hint_key_splits : string
-(** Key splits taken early because batch-arrival occupancy predicted
-    overflow ([ingest_split_hint]). *)
 
 val lock_acquires : string
 (** Lock requests granted (fresh grants, upgrades and re-requests). *)

@@ -2,21 +2,18 @@
 
    A monitor owns nothing but a [Metrics.t] handle and a clock function;
    [sample] captures the current counter snapshot with a timestamp, and
-   derived rates come from differencing the two newest samples.  The
-   sampling itself is driven either manually (tests use a logical clock
-   and call [sample] directly, so every derived number is a pure function
-   of the workload) or by a background thread ([start]/[stop]) that wakes
-   on a wall-clock interval.
+   derived rates come from differencing the two newest samples.  There is
+   no sampler thread: the owner calls [tick] on its own operations, and
+   [tick] samples once the clock has passed the next deadline.  A
+   background thread would be starved by any CPU-bound domain; a deadline
+   checked on the engine's own work cannot be, and under a logical clock
+   every sample (hence every derived number) is a pure function of the
+   workload.
 
    The shared [null] monitor keeps the same contract as [Metrics.null]:
    when [on] is false every operation short-circuits on one branch, so an
    engine built without monitoring pays nothing and — the monitorov gate
-   proves this — perturbs no counters.
-
-   The background thread sleeps in short slices and re-checks a stop flag
-   so [stop] completes within ~50 ms and the thread is always joined;
-   leaving it running would pin the runtime at exit (same liveness rule
-   as the lock manager's ticker thread). *)
+   proves this — perturbs no counters. *)
 
 type sample = { s_seq : int; s_at_us : int64; s_counters : Metrics.snapshot }
 
@@ -38,25 +35,24 @@ type t = {
   samples : sample Queue.t;
   mutable seq : int;
   mutable dropped : int;
-  mutable stop_flag : bool;
-  mutable thread : Thread.t option;
+  mutable next_due : int64; (* clock reading at which [tick] samples next *)
 }
 
 let default_capacity = 600
 
 let make ~on ~metrics ~clock_us ~interval_ms ~capacity =
+  let interval_us = Int64.of_int (max 1 interval_ms * 1000) in
   {
     on;
     metrics;
     clock_us;
-    interval_us = Int64.of_int (max 1 interval_ms * 1000);
+    interval_us;
     capacity = max 1 capacity;
     lock = Mutex.create ();
     samples = Queue.create ();
     seq = 0;
     dropped = 0;
-    stop_flag = false;
-    thread = None;
+    next_due = Int64.add (clock_us ()) interval_us;
   }
 
 let null =
@@ -84,8 +80,8 @@ let locked t f =
 
 let sample t =
   if t.on then begin
-    (* Snapshot outside our own lock: Metrics has its own mutex and the
-       background thread is the only ring writer anyway. *)
+    (* Snapshot outside our own lock: Metrics has its own mutex.  The
+       ring lock is for readers (e.g. a CLI) outside the owner's gate. *)
     let counters = Metrics.snapshot t.metrics in
     let at = t.clock_us () in
     locked t (fun () ->
@@ -98,6 +94,22 @@ let sample t =
         end;
         Queue.push s t.samples;
         Metrics.incr t.metrics Metrics.monitor_samples)
+  end
+
+(* Deadline check, called by the owner after each of its operations
+   (serialized by the owner, so [next_due] needs no lock).  The deadline
+   moves one interval on; if the clock jumped past that too (an idle
+   gap), it restarts one interval from now rather than replaying the
+   missed samples in a burst. *)
+let tick t =
+  if t.on then begin
+    let now = t.clock_us () in
+    if Int64.compare now t.next_due >= 0 then begin
+      sample t;
+      let next = Int64.add t.next_due t.interval_us in
+      t.next_due <-
+        (if Int64.compare next now > 0 then next else Int64.add now t.interval_us)
+    end
   end
 
 let samples t =
@@ -199,34 +211,3 @@ let to_json t =
         ("histograms", J.Obj hists);
       ]
   end
-
-(* --- background sampler -------------------------------------------- *)
-
-let stop_requested t = locked t (fun () -> t.stop_flag)
-
-let run_loop t =
-  let slice = 0.05 in
-  let interval_s = Int64.to_float t.interval_us /. 1e6 in
-  let next = ref (Unix.gettimeofday () +. interval_s) in
-  while not (stop_requested t) do
-    let now = Unix.gettimeofday () in
-    if now >= !next then begin
-      sample t;
-      next := now +. interval_s
-    end;
-    Thread.delay (Float.min slice (Float.max 0.001 (!next -. Unix.gettimeofday ())))
-  done
-
-let start t =
-  if t.on && t.thread = None then begin
-    locked t (fun () -> t.stop_flag <- false);
-    t.thread <- Some (Thread.create run_loop t)
-  end
-
-let stop t =
-  match t.thread with
-  | None -> ()
-  | Some th ->
-      locked t (fun () -> t.stop_flag <- true);
-      Thread.join th;
-      t.thread <- None

@@ -1,12 +1,14 @@
 (** Continuous monitor: periodic [Metrics.snapshot]s in a bounded ring,
     with derived rates between the two newest samples.
 
-    Sampling is either manual ([sample] — what tests do, with an
-    injectable clock, so results are deterministic) or driven by a
-    background thread ([start]/[stop]) on a wall-clock interval.  The
-    shared [null] monitor short-circuits every operation on one branch,
-    so an engine without monitoring pays nothing and perturbs no
-    counters (proved by the BENCH_monitorov gate). *)
+    Sampling is either manual ([sample]) or deadline-driven: the owner
+    calls [tick] after each of its operations and a sample is taken once
+    the monitor's clock has passed the next deadline.  There is no
+    thread, so CPU-bound work cannot starve the sampler, and under an
+    injected logical clock the samples are a pure function of the
+    workload.  The shared [null] monitor short-circuits every operation
+    on one branch, so an engine without monitoring pays nothing and
+    perturbs no counters (proved by the BENCH_monitorov gate). *)
 
 type t
 
@@ -28,22 +30,28 @@ type rates = {
 }
 
 val null : t
-(** Shared disabled monitor: [sample]/[start]/[stop] are no-ops,
+(** Shared disabled monitor: [sample]/[tick] are no-ops,
     [samples] is empty, [rates] is [None]. *)
 
 val create :
   ?interval_ms:int -> ?capacity:int -> ?clock_us:(unit -> int64) -> Metrics.t -> t
 (** [clock_us] defaults to wall time; tests inject a logical source.
-    [interval_ms] (default 1000) only matters for [start];
-    [capacity] (default {!default_capacity}) bounds the ring. *)
+    [interval_ms] (default 1000) is the [tick] deadline spacing, the
+    first deadline one interval after creation; [capacity] (default
+    {!default_capacity}) bounds the ring. *)
 
 val default_capacity : int
 val enabled : t -> bool
-val interval_ms : t -> int
 
 val sample : t -> unit
 (** Capture one snapshot now.  Increments [Metrics.monitor_samples]
     (and [monitor_dropped] when the ring evicts). *)
+
+val tick : t -> unit
+(** Sample if the clock has reached the next deadline, then move the
+    deadline one interval on (or one interval past now, when the clock
+    jumped further — missed samples are not replayed).  One branch on
+    [null].  Not reentrant: the owner serializes its calls. *)
 
 val samples : t -> sample list
 (** Oldest first. *)
@@ -55,10 +63,3 @@ val to_json : t -> Json.t
 (** The whole ring plus newest-interval rates and current p50/p90/p99 of
     every histogram — the payload embedded in flight-recorder reports
     and printed by [imdb monitor]. *)
-
-val start : t -> unit
-(** Spawn the background sampler thread (idempotent; no-op on [null]). *)
-
-val stop : t -> unit
-(** Signal and join the sampler thread.  Returns within ~50 ms; safe to
-    call when never started. *)

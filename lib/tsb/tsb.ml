@@ -501,19 +501,3 @@ let entry_count t =
   in
   walk t.root;
   !n
-
-(* Key-split policy at time-split points.  The classic trigger is current
-   utilization above the threshold T after a time split (Section 3.3).
-   Buffered ingestion adds batch-arrival knowledge: when the flush that
-   forced this split still has [incoming_bytes] of version data destined
-   for the page, splitting by key now — while the page is already in hand
-   and a time split was just paid for — avoids an immediate second
-   overflow.  [capacity] is the page's usable cell space in bytes. *)
-let should_key_split ~utilization ~threshold ~incoming_bytes ~capacity =
-  if utilization > threshold then `Utilization
-  else if
-    incoming_bytes > 0 && capacity > 0
-    && utilization +. (float_of_int incoming_bytes /. float_of_int capacity)
-       > threshold
-  then `Batch_hint
-  else `No

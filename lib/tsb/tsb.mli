@@ -56,17 +56,6 @@ val check_invariants : t -> int
 
 val entry_count : t -> int
 
-val should_key_split :
-  utilization:float ->
-  threshold:float ->
-  incoming_bytes:int ->
-  capacity:int ->
-  [ `Utilization | `Batch_hint | `No ]
-(** Key-split decision at a time-split point.  [`Utilization] is the
-    classic post-split threshold trigger; [`Batch_hint] fires when the
-    in-flight flush run ([incoming_bytes] over [capacity]) would push an
-    under-threshold page past it anyway. *)
-
 (**/**)
 
 val node_entries : bytes -> entry list

@@ -65,10 +65,13 @@ let delete t tid =
 (* Batched GC: TIDs are assigned in order, so a checkpoint's candidates
    cluster in a handful of leaves — one descent covers the run. *)
 let delete_batch t tids =
+  let n = List.length tids in
   Imdb_obs.Tracer.with_span t.tracer "ptt.delete_batch"
-    ~attrs:[ ("tids", string_of_int (List.length tids)) ]
+    ~attrs:
+      (if Imdb_obs.Tracer.enabled t.tracer then [ ("tids", string_of_int n) ]
+       else [])
   @@ fun _ ->
-  M.incr ~by:(List.length tids) t.metrics M.ptt_deletes;
+  M.incr ~by:n t.metrics M.ptt_deletes;
   Imdb_btree.Btree.delete_batch t.tree ~keys:(List.map key_of_tid tids)
 
 let count t = Imdb_btree.Btree.count t.tree

@@ -168,10 +168,6 @@ let find_stamped_as_of page ~key ~asof =
 (* Inserting versions                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Space needed to add a version for (key, payload): the new cell plus
-   slot-array overhead. *)
-let version_size ~key ~payload = R.size ~key ~payload + 4
-
 (* Describe the version insert that [insert_version] would perform, so the
    engine can build the Op_version_insert log record *before* applying it.
    Returns None if the page is full (caller splits first). *)

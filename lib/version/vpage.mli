@@ -42,8 +42,6 @@ val find_stamped_as_of : bytes -> key:string -> asof:Imdb_clock.Timestamp.t -> i
 
 (** {1 Inserting versions} *)
 
-val version_size : key:string -> payload:string -> int
-
 (** A planned version insert: computed first so the engine can build the
     [Op_version_insert] log record, then applied (by the same code redo
     replays). *)

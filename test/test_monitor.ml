@@ -1,5 +1,6 @@
 (* Live introspection: the continuous monitor (deterministic manual
-   sampling, ring bounds, the background thread), per-session statistics,
+   sampling, ring bounds, deadline ticks, sampling on the engine's own
+   operations under a logical clock), per-session statistics,
    consistent lock dumps under real contention, the SESSIONS/LOCKS SQL
    pragmas, and the crash flight recorder. *)
 
@@ -58,8 +59,7 @@ let test_monitor_ring_bounds () =
 let test_monitor_null_is_inert () =
   Alcotest.(check bool) "disabled" false (Mon.enabled Mon.null);
   Mon.sample Mon.null;
-  Mon.start Mon.null;
-  Mon.stop Mon.null;
+  Mon.tick Mon.null;
   Alcotest.(check int) "no samples" 0 (List.length (Mon.samples Mon.null));
   Alcotest.(check bool) "no rates" true (Mon.rates Mon.null = None);
   match Mon.to_json Mon.null with
@@ -96,43 +96,91 @@ let test_monitor_json_shape () =
       Alcotest.(check int) "histogram percentiles present" 42
         (int_at [ "histograms"; "lat"; "p50" ])
 
-let test_monitor_background_thread () =
-  (* wall-clock territory: generous bounds only — the thread must run,
-     produce samples, and stop cleanly (joined, so the process can exit) *)
+let test_monitor_tick_deadlines () =
   let m = M.create () in
-  let mon = Mon.create ~interval_ms:5 m in
-  Mon.start mon;
-  Mon.start mon;
-  (* idempotent *)
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while List.length (Mon.samples mon) < 2 && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  Mon.stop mon;
-  let n = List.length (Mon.samples mon) in
-  Alcotest.(check bool) "sampled at least twice" true (n >= 2);
-  Thread.delay 0.05;
-  Alcotest.(check int) "no samples after stop" n (List.length (Mon.samples mon));
-  Mon.stop mon (* stop is idempotent too *)
+  let now = ref 0L in
+  let mon = Mon.create ~interval_ms:100 ~clock_us:(fun () -> !now) m in
+  let at_us () = List.map (fun s -> s.Mon.s_at_us) (Mon.samples mon) in
+  (* the first deadline is one interval after creation *)
+  now := 99_999L;
+  Mon.tick mon;
+  Alcotest.(check (list int64)) "nothing before the first deadline" [] (at_us ());
+  now := 100_000L;
+  Mon.tick mon;
+  Mon.tick mon;
+  Alcotest.(check (list int64)) "one sample per deadline" [ 100_000L ] (at_us ());
+  (* a late tick keeps the phase: the next deadline is still 200 ms *)
+  now := 150_000L;
+  Mon.tick mon;
+  now := 200_000L;
+  Mon.tick mon;
+  Alcotest.(check (list int64)) "deadline moves one interval on"
+    [ 100_000L; 200_000L ] (at_us ());
+  (* an idle gap of many intervals yields one sample, not a burst *)
+  now := 1_000_000L;
+  Mon.tick mon;
+  Mon.tick mon;
+  now := 1_099_999L;
+  Mon.tick mon;
+  now := 1_100_000L;
+  Mon.tick mon;
+  Alcotest.(check (list int64)) "idle gap restarts the deadline from now"
+    [ 100_000L; 200_000L; 1_000_000L; 1_100_000L ] (at_us ())
 
+let sample_count db = M.get (Db.metrics db) M.monitor_samples
+
+(* Sampling is driven by the engine's own operations and its clock, so
+   under a logical clock the sample count is exact. *)
 let test_engine_monitor_lifecycle () =
-  let config = { default_config with E.monitor_interval_ms = 5 } in
+  let config = { default_config with E.monitor_interval_ms = 100 } in
   let db, clock = fresh_db ~config () in
   Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
   let mon = Db.monitor db in
   Alcotest.(check bool) "enabled by config" true (Mon.enabled mon);
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while List.length (Mon.samples mon) < 2 && Unix.gettimeofday () < deadline do
+  let t0 = Int64.mul (Imdb_clock.Clock.now clock) 1000L in
+  for i = 1 to 52 do
     tick clock;
-    ignore (commit_write db (fun txn -> Db.upsert_row db txn ~table:"t" (row 1 "x")))
+    ignore (commit_write db (fun txn -> Db.upsert_row db txn ~table:"t" (row i "x")))
   done;
-  Alcotest.(check bool) "background samples landed" true
-    (List.length (Mon.samples mon) >= 2);
-  Db.close db;
-  (* close stopped the sampler; and a default engine has the null monitor *)
-  let db2, _ = fresh_db () in
-  Alcotest.(check bool) "off by default" false (Mon.enabled (Db.monitor db2));
-  Db.close db2
+  (* 52 commits x 20 ms = 1040 ms: deadlines at 100, 200, ..., 1000 ms *)
+  Alcotest.(check int) "one sample per 100 ms of engine clock" 10 (sample_count db);
+  Alcotest.(check (list int64)) "sampled at the deadlines"
+    (List.init 10 (fun k -> Int64.add t0 (Int64.of_int ((k + 1) * 100_000))))
+    (List.map (fun s -> s.Mon.s_at_us) (Mon.samples mon));
+  (match Mon.rates mon with
+  | Some r ->
+      (* 5 commits per 100 ms interval *)
+      Alcotest.(check (float 0.001)) "txn/s" 50.0 r.Mon.r_txn_per_s
+  | None -> Alcotest.fail "ten samples but no rates");
+  Db.close db
+
+let test_engine_monitor_samples_on_reads () =
+  let config = { default_config with E.monitor_interval_ms = 100 } in
+  let db, clock = fresh_db ~config () in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
+  tick clock;
+  let ts = commit_write db (fun txn -> Db.insert_row db txn ~table:"t" (row 1 "x")) in
+  let reader = Db.begin_txn ~isolation:(Db.As_of ts) db in
+  Alcotest.(check int) "no deadline passed yet" 0 (sample_count db);
+  Imdb_clock.Clock.advance clock 100L;
+  ignore (Db.get_row db reader ~table:"t" ~key:(Imdb_core.Schema.V_int 1));
+  Alcotest.(check int) "a read-only AS OF get past the deadline samples" 1
+    (sample_count db);
+  ignore (Db.commit db reader);
+  Alcotest.(check int) "once per deadline" 1 (sample_count db);
+  Db.close db
+
+let test_engine_monitor_off_by_default () =
+  let db, clock = fresh_db () in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
+  Alcotest.(check bool) "null monitor" false (Mon.enabled (Db.monitor db));
+  for i = 1 to 20 do
+    Imdb_clock.Clock.advance clock 1000L;
+    ignore (commit_write db (fun txn -> Db.upsert_row db txn ~table:"t" (row i "x")))
+  done;
+  Alcotest.(check int) "never samples" 0 (sample_count db);
+  Alcotest.(check int) "empty ring" 0 (List.length (Mon.samples (Db.monitor db)));
+  Db.close db
 
 (* --- per-session statistics ------------------------------------------------ *)
 
@@ -422,8 +470,12 @@ let suite =
     Alcotest.test_case "monitor ring bounds" `Quick test_monitor_ring_bounds;
     Alcotest.test_case "null monitor inert" `Quick test_monitor_null_is_inert;
     Alcotest.test_case "monitor JSON shape" `Quick test_monitor_json_shape;
-    Alcotest.test_case "background sampler thread" `Quick test_monitor_background_thread;
+    Alcotest.test_case "monitor tick deadlines" `Quick test_monitor_tick_deadlines;
     Alcotest.test_case "engine monitor lifecycle" `Quick test_engine_monitor_lifecycle;
+    Alcotest.test_case "engine monitor samples on reads" `Quick
+      test_engine_monitor_samples_on_reads;
+    Alcotest.test_case "engine monitor off by default" `Quick
+      test_engine_monitor_off_by_default;
     Alcotest.test_case "per-session stats" `Quick test_session_stats;
     Alcotest.test_case "session lock waits" `Quick test_session_lock_waits;
     Alcotest.test_case "lock dump basic" `Quick test_lock_dump_basic;
