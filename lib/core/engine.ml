@@ -368,13 +368,6 @@ let free_page t pid =
 (* io adapters for the index structures                                *)
 (* ------------------------------------------------------------------ *)
 
-let btree_io t : Imdb_btree.Btree.io =
-  {
-    exec = (fun fr ~undoable op -> exec_op t fr ~undoable op);
-    alloc = (fun ~ptype ~level -> alloc_page t ~ptype ~level ~table_id:0);
-    free = (fun pid -> free_page t pid);
-  }
-
 let btree_io_for t table_id : Imdb_btree.Btree.io =
   {
     exec = (fun fr ~undoable op -> exec_op t fr ~undoable op);
@@ -438,7 +431,9 @@ let begin_txn ?(session = 0) t ~isolation =
   in
   Tid.Table.replace t.active tid txn;
   Imdb_obs.Tracer.instant t.tracer "txn.begin"
-    ~attrs:[ ("tid", Tid.to_string tid) ];
+    ~attrs:
+      (if Imdb_obs.Tracer.enabled t.tracer then [ ("tid", Tid.to_string tid) ]
+       else []);
   txn
 
 let check_running txn =
@@ -446,9 +441,6 @@ let check_running txn =
 
 let is_read_only txn = txn.tx_writes = []
 
-(* The oldest snapshot any active transaction might still read — the
-   version GC horizon for snapshot-only tables ("Immortal DB keeps track
-   of the time of the oldest active snapshot transaction O"). *)
 (* Snapshot times of all running snapshot/as-of transactions — the exact
    visibility horizon set for snapshot-table version GC. *)
 let active_snapshots t =
@@ -458,21 +450,6 @@ let active_snapshots t =
       | Running, (Snapshot_isolation | As_of _) -> txn.tx_snapshot :: acc
       | _ -> acc)
     t.active []
-
-let oldest_active_snapshot t =
-  let oldest = ref None in
-  Tid.Table.iter
-    (fun _ txn ->
-      match (txn.tx_state, txn.tx_isolation) with
-      | Running, (Snapshot_isolation | As_of _) -> (
-          match !oldest with
-          | Some o when Ts.compare o txn.tx_snapshot <= 0 -> ()
-          | _ -> oldest := Some txn.tx_snapshot)
-      | _ -> ())
-    t.active;
-  match !oldest with
-  | Some o -> o
-  | None -> Imdb_clock.Clock.last_issued t.clock
 
 let note_write t txn ~table_id ~key ~immortal =
   check_running txn;
@@ -679,8 +656,10 @@ let stamp_page t fr =
     Imdb_obs.Tracer.with_span t.tracer "stamp.page" (fun sp ->
         BP.mark_dirty_unlogged t.pool fr;
         let n = Imdb_tstamp.Lazy_stamper.stamp_page t.stamper page in
-        Imdb_obs.Tracer.add_attr sp "page" (string_of_int (BP.page_id fr));
-        Imdb_obs.Tracer.add_attr sp "stamped" (string_of_int n))
+        if Imdb_obs.Tracer.enabled t.tracer then begin
+          Imdb_obs.Tracer.add_attr sp "page" (string_of_int (BP.page_id fr));
+          Imdb_obs.Tracer.add_attr sp "stamped" (string_of_int n)
+        end)
 
 (* Per-record variant: the write/read-path trigger stamps only the
    accessed record's versions. *)
@@ -694,7 +673,8 @@ let stamp_record t fr ~key =
             ~resolve:(Imdb_tstamp.Lazy_stamper.resolve_for_stamping t.stamper)
             ~on_stamp:(Imdb_tstamp.Lazy_stamper.on_stamp t.stamper)
         in
-        Imdb_obs.Tracer.add_attr sp "stamped" (string_of_int n))
+        if Imdb_obs.Tracer.enabled t.tracer then
+          Imdb_obs.Tracer.add_attr sp "stamped" (string_of_int n))
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing and PTT garbage collection                             *)
@@ -741,9 +721,11 @@ let checkpoint t =
      recovery rebuilds the mappings as uncollectable cache entries *)
   if collected > 0 then Imdb_wal.Wal.flush t.wal;
   M.incr t.metrics M.checkpoints;
-  Imdb_obs.Tracer.add_attr sp "swept" (string_of_int swept);
-  Imdb_obs.Tracer.add_attr sp "dirty_pages" (string_of_int (List.length dpt));
-  Imdb_obs.Tracer.add_attr sp "ptt_collected" (string_of_int collected);
+  if Imdb_obs.Tracer.enabled t.tracer then begin
+    Imdb_obs.Tracer.add_attr sp "swept" (string_of_int swept);
+    Imdb_obs.Tracer.add_attr sp "dirty_pages" (string_of_int (List.length dpt));
+    Imdb_obs.Tracer.add_attr sp "ptt_collected" (string_of_int collected)
+  end;
   Log.debug (fun m ->
       m "checkpoint at %Ld: swept %d pages, dpt %d, att %d, redo start %Ld, GC'd %d PTT entries"
         lsn swept (List.length dpt) (List.length att) redo_scan_start collected);

@@ -66,6 +66,11 @@ let in_range key ~low ~high =
   String.compare key low >= 0
   && match high with None -> true | Some h -> String.compare key h < 0
 
+(* A span's table attr, built only when the tracer is on. *)
+let table_attrs eng ti =
+  if Imdb_obs.Tracer.enabled eng.E.tracer then [ ("table", ti.Catalog.ti_name) ]
+  else []
+
 (* The data page responsible for [key] (hot path: one router descent). *)
 let locate_page eng ti ~key =
   let rt = router eng ti in
@@ -448,7 +453,7 @@ let flush_ingest eng ti =
         Fun.protect ~finally:(fun () -> buf.Ingest.b_flushing <- false)
         @@ fun () ->
         Imdb_obs.Tracer.with_span eng.E.tracer "ingest.flush"
-          ~attrs:[ ("table", ti.Catalog.ti_name) ]
+          ~attrs:(table_attrs eng ti)
         @@ fun sp ->
         let msgs = Ingest.drain buf in
         let n = List.length msgs in
@@ -464,7 +469,8 @@ let flush_ingest eng ti =
         let m = eng.E.metrics in
         Imdb_obs.Metrics.incr m Imdb_obs.Metrics.ingest_flushes;
         Imdb_obs.Metrics.incr ~by:n m Imdb_obs.Metrics.ingest_flush_messages;
-        Imdb_obs.Tracer.add_attr sp "messages" (string_of_int n)
+        if Imdb_obs.Tracer.enabled eng.E.tracer then
+          Imdb_obs.Tracer.add_attr sp "messages" (string_of_int n)
       end
 
 (* Read-only presence probe for the buffered existence checks — the
@@ -554,7 +560,7 @@ let write_buffered eng txn ti ~key ~payload ~kind =
 let write_version eng txn ti ~key ~payload ~kind =
   E.check_running txn;
   Imdb_obs.Tracer.with_span eng.E.tracer "txn.update"
-    ~attrs:[ ("table", ti.Catalog.ti_name) ]
+    ~attrs:(table_attrs eng ti)
   @@ fun _ ->
   E.lock_record eng txn ~table_id:ti.Catalog.ti_id ~key Imdb_lock.Lock_manager.X;
   if
@@ -996,7 +1002,7 @@ let scan_range eng ?own ti ~t (low, high, pid) =
    range's rows sorted. *)
 let scan_versioned_at eng ?own ?lo ?hi ti ~t emit =
   Imdb_obs.Tracer.with_span eng.E.tracer "scan.asof"
-    ~attrs:[ ("table", ti.Catalog.ti_name) ]
+    ~attrs:(table_attrs eng ti)
   @@ fun _ ->
   List.iter
     (fun range -> List.iter (fun (k, p) -> emit k p) (scan_range eng ?own ti ~t range))
@@ -1033,7 +1039,7 @@ let history eng txn ti ~key =
     raise (Not_versioned (ti.Catalog.ti_name ^ ": history needs an IMMORTAL table"));
   flush_ingest eng ti;
   Imdb_obs.Tracer.with_span eng.E.tracer "history.walk"
-    ~attrs:[ ("table", ti.Catalog.ti_name) ]
+    ~attrs:(table_attrs eng ti)
   @@ fun _ ->
   let pid = locate_page eng ti ~key in
   let seen = Hashtbl.create 16 in

@@ -162,8 +162,10 @@ let garbage_collect t ~redo_scan_start =
   List.iter (fun (tid, _) -> Vtt.drop t.vtt tid) candidates;
   Imdb_obs.Metrics.observe t.metrics Imdb_obs.Metrics.h_ptt_gc_batch
     (List.length candidates);
-  Imdb_obs.Tracer.add_attr sp "candidates"
-    (string_of_int (List.length candidates));
-  Imdb_obs.Tracer.add_attr sp "persistent"
-    (string_of_int (List.length persistent));
+  if Imdb_obs.Tracer.enabled t.tracer then begin
+    Imdb_obs.Tracer.add_attr sp "candidates"
+      (string_of_int (List.length candidates));
+    Imdb_obs.Tracer.add_attr sp "persistent"
+      (string_of_int (List.length persistent))
+  end;
   List.map fst candidates

@@ -14,17 +14,15 @@
    The buffer-pool's WAL-before-data rule calls [flush ~lsn:(page lsn)]
    before any page write, and commit calls [flush] at the commit record.
 
-   Concurrency: appenders on different domains do not queue on one
-   append lock.  An atomic sequencer hands out contiguous LSN ranges
-   (frames are fixed before reservation, so a reservation is the byte
-   range it will occupy), and each domain buffers its frames in its own
-   append buffer.  A flush — serialized by [flush_mu], so concurrent
-   committers batch into one device sync — drains every domain buffer,
-   writes the longest contiguous prefix from [durable_end] in LSN order
-   (spinning briefly over a reservation still between its fetch-and-add
-   and its buffer insert), and advances the durable horizon.  At one
-   session this degenerates to exactly the old single-list protocol:
-   same appends, same flush boundaries, same counters. *)
+   Concurrency: every append runs under the engine's session gate or in
+   single-threaded recovery, so appenders never contend.  One mutex,
+   [tail_mu], guards the volatile tail: an append takes its LSN and
+   pushes its frame in one critical section, so the tail is always
+   contiguous from [durable_end].  The sessions that do overlap are
+   committers syncing with the gate released: a flush — serialized by
+   [flush_mu], so concurrent committers batch into one device sync —
+   takes the whole tail, writes it in LSN order and advances the
+   durable horizon. *)
 
 open Imdb_util
 module M = Imdb_obs.Metrics
@@ -106,28 +104,22 @@ module Device = struct
     }
 end
 
-(* One domain's append buffer: only its owner appends, only a flusher
-   (holding [tail_mu]) drains, so [db_mu] sees owner-vs-flusher traffic
-   at most — never cross-domain append contention. *)
-type dbuf = {
-  db_mu : Mutex.t;
-  mutable db_frames : (int64 * bytes) list; (* newest first *)
-  db_index : (int64, bytes) Hashtbl.t; (* the same frames, by LSN *)
-}
-
 type t = {
   device : Device.t;
-  seq : int Atomic.t; (* next LSN: end of log including volatile tails *)
+  seq : int Atomic.t;
+      (* next LSN: end of log including the volatile tail; written under
+         [tail_mu], read without it *)
   tail_mu : Mutex.t;
-      (* guards [durable_end], [flushing], and the move of frames out of
-         domain buffers — so a volatile-frame lookup under it is atomic
-         with respect to collection and the durable horizon *)
+      (* guards [durable_end], [tail], [volatile] and [pending], so a
+         volatile-frame lookup is atomic with respect to the durable
+         horizon *)
   mutable durable_end : int64; (* bytes durable on the device *)
-  flushing : (int64, bytes) Hashtbl.t;
-      (* frames collected from domain buffers by an in-progress (or
-         partially contiguous) flush, still volatile *)
-  bufs_mu : Mutex.t;
-  mutable bufs : dbuf list; (* every domain buffer ever registered *)
+  mutable tail : (int64 * bytes) list;
+      (* frames not yet taken by a flush, newest first; the oldest
+         starts where the last taken frame (or [durable_end]) ends *)
+  volatile : (int64, bytes) Hashtbl.t;
+      (* every frame past [durable_end] by LSN — the untaken tail and
+         the frames of a sync in flight *)
   flush_mu : Mutex.t;
       (* serializes device append+sync (and durable reads against them);
          concurrent committers queue here and find their records already
@@ -137,14 +129,13 @@ type t = {
          redo iterates the log and reads it again from inside the
          callback, so device access must be reentrant per domain *)
   mutable flush_active : bool;
-      (* a leader's collect+sync is in flight (guarded by [tail_mu]).
-         Followers whose LSN the leader will cover wait on [flush_cv]
-         for [durable_end] to move instead of queueing on [flush_mu]: a
-         hot leader re-syncing in a loop barges an OS mutex queue and
-         can starve parked waiters for many sync periods, but it cannot
-         stop them from observing the durable horizon. *)
+      (* a leader's sync is in flight (guarded by [tail_mu]).  Followers
+         whose LSN the leader will cover wait on [flush_cv] for
+         [durable_end] to move instead of queueing on [flush_mu]: a hot
+         leader re-syncing in a loop barges an OS mutex queue and can
+         starve parked waiters for many sync periods, but it cannot stop
+         them from observing the durable horizon. *)
   flush_cv : Condition.t;
-  pending_mu : Mutex.t;
   mutable pending : (int64 * (unit -> unit)) list;
       (* group-commit waiters (commit LSN, durability ack), newest first *)
   mutable metrics : M.t;
@@ -188,14 +179,12 @@ let open_device ?(metrics = M.null) device =
     seq = Atomic.make valid;
     tail_mu = Mutex.create ();
     durable_end = Int64.of_int valid;
-    flushing = Hashtbl.create 64;
-    bufs_mu = Mutex.create ();
-    bufs = [];
+    tail = [];
+    volatile = Hashtbl.create 64;
     flush_mu = Mutex.create ();
     flush_owner = Atomic.make 0;
     flush_active = false;
     flush_cv = Condition.create ();
-    pending_mu = Mutex.create ();
     pending = [];
     metrics;
     tracer = Imdb_obs.Tracer.null;
@@ -224,48 +213,16 @@ let durable t =
 
 let flushed_lsn t = durable t
 
-(* The calling domain's append buffer, cached in domain-local storage so
-   the registry mutex is touched once per (domain, log) pair.  The cache
-   is a small MRU list: an evicted entry's buffer stays registered in
-   [bufs] and is simply drained by the next flush, so losing a cache slot
-   can never lose frames. *)
-let dbuf_cache : (Obj.t * dbuf) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let dbuf_cache_slots = 8
-
-let dbuf_for t =
-  let cache = Domain.DLS.get dbuf_cache in
-  let key = Obj.repr t in
-  match List.assq_opt key !cache with
-  | Some b -> b
-  | None ->
-      let b =
-        { db_mu = Mutex.create (); db_frames = []; db_index = Hashtbl.create 64 }
-      in
-      Mutex.lock t.bufs_mu;
-      t.bufs <- b :: t.bufs;
-      Mutex.unlock t.bufs_mu;
-      let trimmed =
-        if List.length !cache >= dbuf_cache_slots then
-          List.filteri (fun i _ -> i < dbuf_cache_slots - 1) !cache
-        else !cache
-      in
-      cache := (key, b) :: trimmed;
-      b
-
 let append t body =
   let payload = Log_record.encode body in
   let frame = frame_of payload in
-  let b = dbuf_for t in
-  (* the reservation and the buffer insert share one critical section on
-     the domain-local mutex, so a flusher that drains this buffer sees
-     every reservation the buffer's owner has made *)
-  Mutex.lock b.db_mu;
-  let lsn = Int64.of_int (Atomic.fetch_and_add t.seq (Bytes.length frame)) in
-  b.db_frames <- (lsn, frame) :: b.db_frames;
-  Hashtbl.replace b.db_index lsn frame;
-  Mutex.unlock b.db_mu;
+  Mutex.lock t.tail_mu;
+  let pos = Atomic.get t.seq in
+  let lsn = Int64.of_int pos in
+  Atomic.set t.seq (pos + Bytes.length frame);
+  t.tail <- (lsn, frame) :: t.tail;
+  Hashtbl.replace t.volatile lsn frame;
+  Mutex.unlock t.tail_mu;
   M.incr t.metrics M.log_appends;
   M.incr ~by:(Bytes.length frame) t.metrics M.log_bytes;
   M.observe t.metrics M.h_log_record_bytes (Bytes.length frame);
@@ -275,108 +232,71 @@ let append t body =
    durability acknowledgment; the next flush that makes the record durable
    fires the ack.  Waiters share that flush's single append+sync. *)
 let register_commit t ~lsn ~on_durable =
-  if Int64.compare lsn (durable t) < 0 then on_durable ()
-  else begin
-    Mutex.lock t.pending_mu;
-    t.pending <- (lsn, on_durable) :: t.pending;
-    Mutex.unlock t.pending_mu
-  end
+  Mutex.lock t.tail_mu;
+  let durable_now = Int64.compare lsn t.durable_end < 0 in
+  if not durable_now then t.pending <- (lsn, on_durable) :: t.pending;
+  Mutex.unlock t.tail_mu;
+  if durable_now then on_durable ()
 
 let pending_commits t =
-  Mutex.lock t.pending_mu;
+  Mutex.lock t.tail_mu;
   let n = List.length t.pending in
-  Mutex.unlock t.pending_mu;
+  Mutex.unlock t.tail_mu;
   n
 
 let drain_pending t =
-  let d = durable t in
-  Mutex.lock t.pending_mu;
+  Mutex.lock t.tail_mu;
+  let d = t.durable_end in
   let durable_now, still =
     List.partition (fun (lsn, _) -> Int64.compare lsn d < 0) t.pending
   in
   t.pending <- still;
-  Mutex.unlock t.pending_mu;
+  Mutex.unlock t.tail_mu;
   if durable_now <> [] then begin
-    M.observe t.metrics M.h_group_commit_batch (List.length durable_now);
+    let batch = List.length durable_now in
+    M.observe t.metrics M.h_group_commit_batch batch;
     Imdb_obs.Tracer.instant t.tracer "wal.group_commit"
-      ~attrs:[ ("batch", string_of_int (List.length durable_now)) ];
+      ~attrs:
+        (if Imdb_obs.Tracer.enabled t.tracer then
+           [ ("batch", string_of_int batch) ]
+         else []);
     (* fire oldest-first: acknowledgment order follows commit order *)
     List.iter (fun (_, ack) -> ack ()) (List.rev durable_now)
   end
 
-(* Move every buffered frame into [flushing].  Holding [tail_mu] across
-   the move keeps volatile lookups coherent: a frame is always findable
-   in exactly one place until it is durable. *)
-let collect t =
-  Mutex.lock t.tail_mu;
-  Mutex.lock t.bufs_mu;
-  let bufs = t.bufs in
-  Mutex.unlock t.bufs_mu;
-  List.iter
-    (fun b ->
-      Mutex.lock b.db_mu;
-      List.iter (fun (lsn, fr) -> Hashtbl.replace t.flushing lsn fr) b.db_frames;
-      b.db_frames <- [];
-      Hashtbl.reset b.db_index;
-      Mutex.unlock b.db_mu)
-    bufs;
-  Mutex.unlock t.tail_mu
-
-(* The longest LSN-contiguous run of [flushing] frames starting at
-   [durable_end]: what the device write can cover.  A gap means a
-   reservation is still between its fetch-and-add and its insert. *)
-let contiguous_prefix t =
-  let frames =
-    Hashtbl.fold (fun lsn fr acc -> (lsn, fr) :: acc) t.flushing []
-    |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
-  in
-  let rec take acc expect = function
-    | (lsn, fr) :: rest when Int64.equal lsn expect ->
-        take ((lsn, fr) :: acc)
-          (Int64.add lsn (Int64.of_int (Bytes.length fr)))
-          rest
-    | _ -> (List.rev acc, expect)
-  in
-  take [] t.durable_end frames
-
-(* One leader's collect+append+sync.  Caller has claimed leadership
-   ([flush_active] set); runs under [flush_mu] to serialize device
-   access against readers and other (reentrant) flushers. *)
+(* One leader's append+sync of the whole tail.  Caller has claimed
+   leadership ([flush_active] set); runs under [flush_mu] to serialize
+   device access against readers and other (reentrant) flushers.  The
+   taken frames stay in [volatile] until [durable_end] passes them. *)
 let flush_as_leader t needed =
   with_flush_mu t (fun () ->
+      Mutex.lock t.tail_mu;
       (* the flush that held leadership before us may have covered our
          record already *)
-      if Int64.compare needed (durable t) >= 0 then begin
-        collect t;
-        let prefix = ref (contiguous_prefix t) in
-        (* a gap below [needed] resolves as soon as the appender's
-           buffer insert lands; never spin for frames past [needed] *)
-        while
-          Int64.compare (snd !prefix) needed <= 0
-          && Int64.compare (next_lsn t) (snd !prefix) > 0
-        do
-          Domain.cpu_relax ();
-          collect t;
-          prefix := contiguous_prefix t
-        done;
-        let frames, new_end = !prefix in
-        if frames <> [] then
-          Imdb_obs.Tracer.with_span t.tracer "wal.flush" (fun sp ->
-              let bytes =
-                List.fold_left (fun acc (_, f) -> acc + Bytes.length f) 0 frames
-              in
-              List.iter (fun (_, frame) -> t.device.Device.append frame) frames;
-              t.device.Device.sync ();
-              Mutex.lock t.tail_mu;
-              List.iter (fun (lsn, _) -> Hashtbl.remove t.flushing lsn) frames;
-              t.durable_end <- new_end;
-              Mutex.unlock t.tail_mu;
-              M.incr t.metrics M.log_flushes;
-              M.observe t.metrics M.h_log_flush_bytes bytes;
+      let frames =
+        if Int64.compare needed t.durable_end >= 0 then List.rev t.tail else []
+      in
+      if frames <> [] then t.tail <- [];
+      let new_end = Int64.of_int (Atomic.get t.seq) in
+      Mutex.unlock t.tail_mu;
+      if frames <> [] then
+        Imdb_obs.Tracer.with_span t.tracer "wal.flush" (fun sp ->
+            let bytes =
+              List.fold_left (fun acc (_, f) -> acc + Bytes.length f) 0 frames
+            in
+            List.iter (fun (_, frame) -> t.device.Device.append frame) frames;
+            t.device.Device.sync ();
+            Mutex.lock t.tail_mu;
+            List.iter (fun (lsn, _) -> Hashtbl.remove t.volatile lsn) frames;
+            t.durable_end <- new_end;
+            Mutex.unlock t.tail_mu;
+            M.incr t.metrics M.log_flushes;
+            M.observe t.metrics M.h_log_flush_bytes bytes;
+            if Imdb_obs.Tracer.enabled t.tracer then begin
               Imdb_obs.Tracer.add_attr sp "bytes" (string_of_int bytes);
               Imdb_obs.Tracer.add_attr sp "frames"
-                (string_of_int (List.length frames)))
-      end)
+                (string_of_int (List.length frames))
+            end))
 
 (* Make everything up to and including the record at [lsn] durable.  A
    record at a given LSN is durable iff [lsn < durable_end] (both are
@@ -427,27 +347,15 @@ let flush ?lsn t =
 
 (* Drop the volatile tail: crash simulation.  Unacknowledged group-commit
    waiters are dropped unfired — their transactions were never durable.
-   The sequencer rewinds to the durable horizon (as a reopen would), so
-   the dropped reservations do not read as a permanent gap to flush. *)
+   The sequencer rewinds to the durable horizon, as a reopen would. *)
 let crash_volatile t =
   Mutex.lock t.tail_mu;
   Atomic.set t.seq (Int64.to_int t.durable_end);
-  Hashtbl.reset t.flushing;
-  Mutex.lock t.bufs_mu;
-  let bufs = t.bufs in
-  Mutex.unlock t.bufs_mu;
-  List.iter
-    (fun b ->
-      Mutex.lock b.db_mu;
-      b.db_frames <- [];
-      Hashtbl.reset b.db_index;
-      Mutex.unlock b.db_mu)
-    bufs;
-  Condition.broadcast t.flush_cv;
-  Mutex.unlock t.tail_mu;
-  Mutex.lock t.pending_mu;
+  t.tail <- [];
+  Hashtbl.reset t.volatile;
   t.pending <- [];
-  Mutex.unlock t.pending_mu
+  Condition.broadcast t.flush_cv;
+  Mutex.unlock t.tail_mu
 
 (* Iterate durable records from [from_lsn] (must be a frame boundary).
    Runs under [flush_mu] so device reads never interleave with a
@@ -466,28 +374,9 @@ let iter_from t ~from_lsn f =
       in
       go (Int64.to_int from_lsn))
 
-(* A still-volatile frame, wherever it currently lives: mid-flush
-   ([flushing]) or in some domain's append buffer. *)
 let find_volatile t lsn =
   Mutex.lock t.tail_mu;
-  let r =
-    match Hashtbl.find_opt t.flushing lsn with
-    | Some f -> Some f
-    | None ->
-        Mutex.lock t.bufs_mu;
-        let bufs = t.bufs in
-        Mutex.unlock t.bufs_mu;
-        List.fold_left
-          (fun acc b ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-                Mutex.lock b.db_mu;
-                let r = Hashtbl.find_opt b.db_index lsn in
-                Mutex.unlock b.db_mu;
-                r)
-          None bufs
-  in
+  let r = Hashtbl.find_opt t.volatile lsn in
   Mutex.unlock t.tail_mu;
   r
 

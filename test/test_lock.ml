@@ -214,6 +214,36 @@ let test_wait_deadlock_at_edge_insert () =
       Alcotest.(check bool) "closer is the victim" true (Tid.equal victim t2)
   | _ -> Alcotest.fail "deadlock undetected on the wait path"
 
+(* A manager's condvar is on the process-wide ticker only while one of
+   its waiters is parked: reopened engines must not pile up condvars the
+   ticker keeps broadcasting. *)
+let test_ticker_drops_idle_managers () =
+  let parked_somewhere () =
+    let deadline = Unix.gettimeofday () +. 2.0 in
+    while L.ticker_registrations () = 0 && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    L.ticker_registrations () > 0
+  in
+  (* manager 1: the wait ends in a grant *)
+  let lm1 = L.create () in
+  ignore (L.acquire lm1 t1 rec_a L.X);
+  let d =
+    Domain.spawn (fun () ->
+        ignore (L.acquire_wait ~timeout_us:2_000_000 lm1 t2 rec_a L.X))
+  in
+  Alcotest.(check bool) "registered while parked" true (parked_somewhere ());
+  L.release_all lm1 t1;
+  Domain.join d;
+  Alcotest.(check bool) "granted" true (L.holds lm1 t2 rec_a = Some L.X);
+  (* manager 2: the wait ends in a timeout *)
+  let lm2 = L.create () in
+  ignore (L.acquire lm2 t1 rec_a L.X);
+  (match L.acquire_wait ~timeout_us:20_000 lm2 t2 rec_a L.X with
+  | exception L.Lock_timeout _ -> ()
+  | _ -> Alcotest.fail "wait succeeded against a held X lock");
+  Alcotest.(check int) "no registration left" 0 (L.ticker_registrations ())
+
 let suite =
   [
     Alcotest.test_case "compatibility" `Quick test_compatibility;
@@ -229,4 +259,5 @@ let suite =
     Alcotest.test_case "wait granted on release" `Quick test_wait_granted_on_release;
     Alcotest.test_case "wait timeout" `Quick test_wait_timeout;
     Alcotest.test_case "wait deadlock at edge insert" `Quick test_wait_deadlock_at_edge_insert;
+    Alcotest.test_case "ticker drops idle managers" `Quick test_ticker_drops_idle_managers;
   ]
